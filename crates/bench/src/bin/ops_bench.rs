@@ -8,21 +8,21 @@
 //! verbs per op, doorbells per op and p50/p99 operation latency as JSON in
 //! `BENCH_ops.json`, so future changes can track the performance
 //! trajectory.  A second section sweeps the pool from 1 to 8 memory nodes
-//! under a deliberately message-bound RNIC budget, in both completion
-//! modes: with the hash table, history shards and segments striped by the
-//! topology layer, the per-node message load — and therefore the simulated
-//! throughput ceiling — must scale with pool size (the fig 17/18
-//! elasticity claim), and the pipelined path must never fall below the
-//! synchronous-batched ceiling (pipelining buys latency and costs no
-//! messages).
+//! under a deliberately message-bound RNIC budget: with the hash table,
+//! history shards and segments striped by the topology layer, the per-node
+//! message load — and therefore the simulated throughput ceiling — must
+//! scale with pool size (the fig 17/18 elasticity claim).  The sweep runs
+//! in both completion modes, which must be *exactly* equal at every point
+//! (the ceiling is the NIC's, and pipelining costs no messages), so one
+//! series is emitted.
 //!
 //! The process exits non-zero if the batched configuration does not deliver
 //! ≥1.3× simulated throughput over unbatched, if the pipelined path does
-//! not reach at least the batched throughput (latency-bound section and
-//! every message-bound sweep point), if any configuration diverges in
-//! hit/miss counts (completion modes must never change cache behaviour),
-//! or if the message-bound sweep is not monotonically increasing from 1 to
-//! 4 nodes.
+//! not reach at least the batched throughput on the latency-bound section,
+//! if the two completion modes differ at any message-bound sweep point, if
+//! any configuration diverges in hit/miss counts (completion modes must
+//! never change cache behaviour), or if the message-bound sweep is not
+//! monotonically increasing from 1 to 4 nodes.
 //!
 //! An observability section prices the flight recorder on the pipelined
 //! path: a fully armed row (within 10% of disarmed, in practice identical)
@@ -235,11 +235,10 @@ fn run_mode_recorded(
     (report, obs, breakdown)
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct SweepPoint {
     nodes: u16,
     ops_per_sec: f64,
-    sync_batched_ops_per_sec: f64,
     sim_seconds: f64,
     total_messages: u64,
     max_node_messages: u64,
@@ -293,7 +292,6 @@ fn run_sweep_point(
     SweepPoint {
         nodes,
         ops_per_sec: ops as f64 / sim_seconds,
-        sync_batched_ops_per_sec: 0.0,
         sim_seconds,
         total_messages: snaps.iter().map(|s| s.messages).sum(),
         max_node_messages,
@@ -301,13 +299,11 @@ fn run_sweep_point(
     }
 }
 
-/// One sweep point in both completion modes: the emitted `ops_per_sec` is
-/// the pipelined path, `sync_batched_ops_per_sec` the synchronous batch.
-fn run_sweep_pair(nodes: u16, spec: &YcsbSpec, capacity: u64) -> SweepPoint {
+/// One sweep point in both completion modes: (pipelined, synchronous
+/// batch).
+fn run_sweep_pair(nodes: u16, spec: &YcsbSpec, capacity: u64) -> (SweepPoint, SweepPoint) {
     let sync = run_sweep_point(nodes, false, spec, capacity);
-    let mut point = run_sweep_point(nodes, true, spec, capacity);
-    point.sync_batched_ops_per_sec = sync.ops_per_sec;
-    point
+    (run_sweep_point(nodes, true, spec, capacity), sync)
 }
 
 /// One point of the concurrency section: `threads` OS threads, each with
@@ -586,7 +582,7 @@ fn tier_point_json(point: &TierPoint) -> String {
 /// One batching mode's trip through the online-resize timeline (fig 18 on
 /// the ops-bench workload): steady → add_node (pump interleaved with
 /// serving) → migrated → drain (pump interleaved) → drained-to-empty.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct ResizeReport {
     steady_ops_per_sec: f64,
     migrating_ops_per_sec: f64,
@@ -701,19 +697,19 @@ fn resize_json(report: &ResizeReport) -> String {
     format!(
         concat!(
             "{{\n",
-            "      \"steady_ops_per_sec\": {:.1},\n",
-            "      \"migrating_ops_per_sec\": {:.1},\n",
-            "      \"migrated_ops_per_sec\": {:.1},\n",
-            "      \"draining_ops_per_sec\": {:.1},\n",
-            "      \"drained_ops_per_sec\": {:.1},\n",
-            "      \"grow_stripes\": {},\n",
-            "      \"grow_objects\": {},\n",
-            "      \"shrink_stripes\": {},\n",
-            "      \"shrink_objects\": {},\n",
-            "      \"drained_residual_bytes\": {},\n",
-            "      \"drained_node_reads\": {},\n",
-            "      \"total_reads\": {}\n",
-            "    }}"
+            "    \"steady_ops_per_sec\": {:.1},\n",
+            "    \"migrating_ops_per_sec\": {:.1},\n",
+            "    \"migrated_ops_per_sec\": {:.1},\n",
+            "    \"draining_ops_per_sec\": {:.1},\n",
+            "    \"drained_ops_per_sec\": {:.1},\n",
+            "    \"grow_stripes\": {},\n",
+            "    \"grow_objects\": {},\n",
+            "    \"shrink_stripes\": {},\n",
+            "    \"shrink_objects\": {},\n",
+            "    \"drained_residual_bytes\": {},\n",
+            "    \"drained_node_reads\": {},\n",
+            "    \"total_reads\": {}\n",
+            "  }}"
         ),
         report.steady_ops_per_sec,
         report.migrating_ops_per_sec,
@@ -775,13 +771,11 @@ fn degraded_json(point: &DegradedPoint) -> String {
 fn sweep_json(point: &SweepPoint) -> String {
     format!(
         concat!(
-            "{{ \"nodes\": {}, \"ops_per_sec\": {:.1}, ",
-            "\"sync_batched_ops_per_sec\": {:.1}, \"simulated_seconds\": {:.6}, ",
+            "{{ \"nodes\": {}, \"ops_per_sec\": {:.1}, \"simulated_seconds\": {:.6}, ",
             "\"messages_total\": {}, \"max_node_messages\": {}, \"nic_bound\": {} }}"
         ),
         point.nodes,
         point.ops_per_sec,
-        point.sync_batched_ops_per_sec,
         point.sim_seconds,
         point.total_messages,
         point.max_node_messages,
@@ -1066,13 +1060,14 @@ fn main() {
         sweep_spec.request_count, SWEEP_MESSAGE_RATE
     );
     let mut sweep = Vec::new();
+    let mut sweep_batched = Vec::new();
     for nodes in [1u16, 2, 4, 8] {
-        let point = run_sweep_pair(nodes, &sweep_spec, capacity);
+        let (point, batched_point) = run_sweep_pair(nodes, &sweep_spec, capacity);
         eprintln!(
             "  {} MN: {:>12.0} ops/s pipelined  {:>12.0} ops/s batched  max-node {:>8} msgs  ({})",
             point.nodes,
             point.ops_per_sec,
-            point.sync_batched_ops_per_sec,
+            batched_point.ops_per_sec,
             point.max_node_messages,
             if point.nic_bound {
                 "NIC-bound"
@@ -1081,11 +1076,14 @@ fn main() {
             }
         );
         sweep.push(point);
+        sweep_batched.push(batched_point);
     }
 
-    // Online-resize window (fig 18 smoke): batched vs unbatched across an
-    // add → migrate → drain-to-empty timeline under the message-bound
-    // budget, gating that the drained node really reaches zero bytes.
+    // Online-resize window (fig 18 smoke): an add → migrate →
+    // drain-to-empty timeline under the message-bound budget, gating that
+    // the drained node really reaches zero bytes.  Run batched and
+    // unbatched, which must agree exactly (the window is NIC-bound), so
+    // one report is emitted.
     let resize_spec = YcsbSpec {
         record_count: spec.record_count,
         request_count: (requests / 8).max(10_000),
@@ -1096,22 +1094,17 @@ fn main() {
         "ops_bench: resize window, {} requests/window, {} msg/s per NIC",
         resize_spec.request_count, SWEEP_MESSAGE_RATE
     );
-    let resize_batched = run_resize_mode(true, &resize_spec, capacity);
+    let resize = run_resize_mode(true, &resize_spec, capacity);
     let resize_unbatched = run_resize_mode(false, &resize_spec, capacity);
-    for (name, r) in [
-        ("batched", &resize_batched),
-        ("unbatched", &resize_unbatched),
-    ] {
-        eprintln!(
-            "  {name:<10} steady {:>8.0}  migrating {:>8.0}  migrated {:>8.0}  draining {:>8.0}  drained {:>8.0} ops/s  (residual {} B)",
-            r.steady_ops_per_sec,
-            r.migrating_ops_per_sec,
-            r.migrated_ops_per_sec,
-            r.draining_ops_per_sec,
-            r.drained_ops_per_sec,
-            r.drained_residual_bytes,
-        );
-    }
+    eprintln!(
+        "  steady {:>8.0}  migrating {:>8.0}  migrated {:>8.0}  draining {:>8.0}  drained {:>8.0} ops/s  (residual {} B)",
+        resize.steady_ops_per_sec,
+        resize.migrating_ops_per_sec,
+        resize.migrated_ops_per_sec,
+        resize.draining_ops_per_sec,
+        resize.drained_ops_per_sec,
+        resize.drained_residual_bytes,
+    );
 
     // Truly concurrent clients: aggregate throughput and tail latency for
     // 1/2/4/8 OS threads sharing one cache, with the pool's contention
@@ -1285,7 +1278,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"benchmark\": \"ops\",\n",
-            "  \"schema_version\": 3,\n",
+            "  \"schema_version\": 4,\n",
             "  \"git_describe\": \"{}\",\n",
             "  \"config_fingerprint\": \"{:016x}\",\n",
             "  \"workload\": \"ycsb-c\",\n",
@@ -1326,10 +1319,7 @@ fn main() {
             "    \"requests\": {},\n",
             "    \"points\": [\n      {}\n    ]\n",
             "  }},\n",
-            "  \"resize_window\": {{\n",
-            "    \"batched\": {},\n",
-            "    \"unbatched\": {}\n",
-            "  }}\n",
+            "  \"resize_window\": {}\n",
             "}}\n"
         ),
         describe,
@@ -1385,8 +1375,7 @@ fn main() {
             .map(tier_point_json)
             .collect::<Vec<_>>()
             .join(",\n      "),
-        resize_json(&resize_batched),
-        resize_json(&resize_unbatched),
+        resize_json(&resize),
     );
     std::fs::write("BENCH_ops.json", &json).expect("write BENCH_ops.json");
     println!("{json}");
@@ -1413,8 +1402,8 @@ fn main() {
     );
     // Striping gate: under a message-bound workload, simulated ops/s must
     // increase monotonically from 1 to 4 memory nodes, and the pipelined
-    // path must reach at least the synchronous-batched ceiling at every
-    // pool size (pipelining costs no messages).
+    // and synchronous-batched paths must be identical at every pool size
+    // (the ceiling is the NIC's, and pipelining costs no messages).
     for pair in sweep[..3].windows(2) {
         assert!(
             pair[1].ops_per_sec > pair[0].ops_per_sec,
@@ -1425,50 +1414,48 @@ fn main() {
             pair[1].ops_per_sec
         );
     }
-    for point in &sweep {
-        assert!(
-            point.ops_per_sec >= point.sync_batched_ops_per_sec * 0.999,
-            "{} MN: pipelined ({:.0} ops/s) must be >= synchronous-batched ({:.0} ops/s)",
-            point.nodes,
-            point.ops_per_sec,
-            point.sync_batched_ops_per_sec
-        );
-    }
-    // Resize-window gates, in both batching modes: (a) the pumped drain
-    // empties the node completely (and lookup READs leave it), and (b) the
-    // migrated pool's message-bound ceiling is higher than the pre-resize
-    // steady state — the bucket ranges really spread onto the joiner.
-    for (name, r) in [
-        ("batched", &resize_batched),
-        ("unbatched", &resize_unbatched),
-    ] {
+    for (point, batched_point) in sweep.iter().zip(&sweep_batched) {
         assert_eq!(
-            r.drained_residual_bytes, 0,
-            "{name}: drained node must reach zero resident object bytes"
-        );
-        assert!(
-            r.grow_stripes > 0 && r.shrink_stripes > 0,
-            "{name}: both resize phases must actually move stripes \
-             (grow {}, shrink {})",
-            r.grow_stripes,
-            r.shrink_stripes
-        );
-        // >= 95% of READ messages on active nodes: only the (tiny, fixed)
-        // history-shard counters still answer from the drained node; every
-        // bucket and object READ has left it.
-        assert!(
-            r.drained_node_reads * 20 < r.total_reads,
-            "{name}: drained node still serves {}/{} READs (must be < 5%)",
-            r.drained_node_reads,
-            r.total_reads
-        );
-        assert!(
-            r.migrated_ops_per_sec > r.steady_ops_per_sec * 1.1,
-            "{name}: migration must raise the message-bound ceiling: {:.0} -> {:.0}",
-            r.steady_ops_per_sec,
-            r.migrated_ops_per_sec
+            point, batched_point,
+            "{} MN: the pipelined and synchronous-batched sweep points must be identical",
+            point.nodes
         );
     }
+    // Resize-window gates: the batching modes agree exactly, (a) the
+    // pumped drain empties the node completely (and lookup READs leave
+    // it), and (b) the migrated pool's message-bound ceiling is higher than
+    // the pre-resize steady state — the bucket ranges really spread onto
+    // the joiner.
+    assert_eq!(
+        resize, resize_unbatched,
+        "the batched and unbatched resize windows must be identical"
+    );
+    assert_eq!(
+        resize.drained_residual_bytes, 0,
+        "drained node must reach zero resident object bytes"
+    );
+    assert!(
+        resize.grow_stripes > 0 && resize.shrink_stripes > 0,
+        "both resize phases must actually move stripes \
+         (grow {}, shrink {})",
+        resize.grow_stripes,
+        resize.shrink_stripes
+    );
+    // >= 95% of READ messages on active nodes: only the (tiny, fixed)
+    // history-shard counters still answer from the drained node; every
+    // bucket and object READ has left it.
+    assert!(
+        resize.drained_node_reads * 20 < resize.total_reads,
+        "drained node still serves {}/{} READs (must be < 5%)",
+        resize.drained_node_reads,
+        resize.total_reads
+    );
+    assert!(
+        resize.migrated_ops_per_sec > resize.steady_ops_per_sec * 1.1,
+        "migration must raise the message-bound ceiling: {:.0} -> {:.0}",
+        resize.steady_ops_per_sec,
+        resize.migrated_ops_per_sec
+    );
     // Concurrency gates: (a) aggregate simulated ops/s must be monotone
     // non-decreasing from 1 to 4 client threads — more clients on one
     // shared cache must scale until a shared resource saturates; (b) the

@@ -3,48 +3,55 @@
 //!
 //! One `DittoClient` is owned by each application thread.  All data-path
 //! operations use only one-sided verbs against the memory pool, and the
-//! independent verbs of each step are issued together behind one RNIC
-//! doorbell (see `ditto_dm::batch` and `ditto_dm::wqe`):
+//! independent verbs of each step form one **round**: posted to a
+//! `ditto_dm::WorkQueue`, rung once, then waited for result by result in
+//! the order the code needs them.
 //!
-//! * **Get** — one doorbell batch `RDMA_READ`ing the primary *and* secondary
-//!   buckets, one `RDMA_READ` of the object, then an asynchronous
-//!   `RDMA_WRITE` of the stateless access information and a
-//!   (frequency-counter-cached) `RDMA_FAA` of the access count.
-//! * **Set** — one doorbell batch carrying the object `RDMA_WRITE` together
-//!   with both bucket `RDMA_READ`s, an `RDMA_CAS` of the slot's atomic
-//!   field, plus the asynchronous metadata write.
+//! * **Get** — one round `RDMA_READ`ing the primary *and* secondary
+//!   buckets, one round of the object `RDMA_READ` (with any due
+//!   frequency-counter `RDMA_FAA` riding unsignalled), then an asynchronous
+//!   `RDMA_WRITE` of the stateless access information.
+//! * **Set** — one round carrying the object `RDMA_WRITE` (unsignalled)
+//!   together with both bucket `RDMA_READ`s, an `RDMA_CAS` of the slot's
+//!   atomic field, plus the asynchronous metadata write.
 //! * **Eviction** — one `RDMA_READ` sampling K consecutive slots (or, in the
-//!   scattered-metadata ablation, one doorbell batch of K slot READs), a
-//!   per-expert priority evaluation, a weighted victim choice, an `RDMA_FAA`
-//!   on the global history counter and an `RDMA_CAS` converting the victim
-//!   slot into an embedded history entry.
+//!   scattered-metadata ablation, one round of K slot READs), a per-expert
+//!   priority evaluation, a weighted victim choice, an `RDMA_FAA` on the
+//!   global history counter and an `RDMA_CAS` converting the victim slot
+//!   into an embedded history entry.
 //!
-//! With `enable_async_completion` (the default) each step runs on the
-//! **posted-WQE/polled-completion** model instead of a synchronous batch:
-//! the lookup posts both bucket READs, polls the primary's completion and
-//! decodes it *while the secondary is still in flight*; `Set` posts its
-//! object WRITE unsignalled (never waited for) next to the bucket READs; a
-//! hit's due frequency-counter FAA rides unsignalled next to the object
-//! READ; and the eviction sampler decodes and scores candidates as
-//! completions drain.  The verb sequence — and therefore cache behaviour
-//! and message counts — is byte-identical to the synchronous batch (see
-//! `tests/async_parity.rs`); only the charged latency shrinks, because the
-//! client CPU work (`cpu_decode_slot_ns` per slot, `cpu_score_candidate_ns`
-//! per candidate) overlaps the flights, and `end_op` simply drains whatever
-//! is still outstanding.  `enable_async_completion = false` keeps the
-//! synchronous post-all/wait-all doorbell batches — the ablation the
-//! pipelined path is measured against.
+//! There is **one path and three ring modes**, picked once per client from
+//! `enable_doorbell_batching` and `enable_async_completion` (see
+//! `ditto_dm::RingMode`).  Every round is written once; the mode decides
+//! only how the round is charged and how its WQEs' outcomes are learned:
+//!
+//! * **pipelined** (the default): the posting cost is charged at the ring
+//!   and each completion when it is polled, so client CPU work
+//!   (`cpu_decode_slot_ns` per slot, `cpu_score_candidate_ns` per
+//!   candidate) overlaps the flights — the lookup decodes the primary
+//!   bucket while the secondary READ is still in flight, and the sampler
+//!   decodes each read as it arrives;
+//! * **wait-all**: a synchronous doorbell batch, charged in one step;
+//! * **sequential**: the same verbs one round trip at a time — the ablation
+//!   quantified by the `ops_bench` microbenchmark.
+//!
+//! A round of one verb is issued as the plain verb in every mode.  The verb
+//! sequence — and therefore cache behaviour and message counts — is
+//! identical across modes (see `tests/async_parity.rs` and
+//! `tests/batch_parity.rs`); only the charged latency differs.  Every WQE's
+//! own status is visible in every mode, so injected faults do not make the
+//! modes disagree either: a faulted unsignalled FAA flush never turns a hit
+//! into a miss (see `crates/core/tests/ring_mode_fault_parity.rs`).  The
+//! one mode-dependent step is named in the lookup.
 //!
 //! The data path is **allocation-free in steady state**: bucket and sample
 //! bytes land in per-client scratch buffers, slots decode from borrowed
 //! bytes into fixed-capacity [`InlineVec`]s, objects decode through
 //! [`object::view`] without copying, and [`DittoClient::get_into`] writes
-//! the value into a caller-provided buffer.  `enable_doorbell_batching =
-//! false` issues the identical verb sequence one round trip at a time — the
-//! ablation quantified by the `ops_bench` microbenchmark.
+//! the value into a caller-provided buffer.
 //!
 //! With the hash table striped over several memory nodes (see
-//! `ditto_dm::topology` and [`crate::hashtable`]), the verbs of one batch
+//! `ditto_dm::topology` and [`crate::hashtable`]), the verbs of one round
 //! fan out across the nodes' NICs: the two bucket READs of a lookup may
 //! target two nodes, the object lands stripe-local to its primary bucket,
 //! and eviction samples split per node — all decisions are made in global
@@ -73,12 +80,11 @@ use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
 use crate::stats::CacheStats;
 use ditto_algorithms::{AccessContext, AccessKind, CacheAlgorithm, Metadata, EXT_WORDS};
 use ditto_dm::alloc::{AllocService, ClientAllocator};
-use ditto_dm::batch::MAX_BATCH;
 use ditto_dm::migration::WriteDisposition;
 use ditto_dm::rpc::{ALLOC_SERVICE, WEIGHT_SERVICE};
 use ditto_dm::{
     DmClient, DmError, DmResult, EventKind, MigrationEngine, MigrationState, Phase, PoolTopology,
-    RecoveryPhase, RemoteAddr, StripedAllocator, RECONCILE_POISON,
+    RecoveryPhase, RemoteAddr, RingMode, StripedAllocator, RECONCILE_POISON,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -95,29 +101,13 @@ const MAX_EVICTION_ATTEMPTS: usize = 256;
 const VERB_RETRY_BACKOFF_NS: u64 = 500;
 
 /// Retries transiently faulted verbs ([`DmError::VerbFailed`] /
-/// [`DmError::VerbTimeout`]) up to [`MAX_RETRIES`] tries with a short
-/// charged back-off.  Errors against a fail-stopped node — and every
-/// non-transient error — propagate immediately: retrying a dead node's
-/// verbs only burns simulated time.
+/// [`DmError::VerbTimeout`]) under the rule of [`retry_fault`].
 fn with_retry<T>(dm: &DmClient, mut f: impl FnMut(&DmClient) -> DmResult<T>) -> DmResult<T> {
-    let mut attempt = 0;
+    let mut faults = 0;
     loop {
         match f(dm) {
             Ok(v) => return Ok(v),
-            Err(e) => {
-                attempt += 1;
-                let retryable = match e {
-                    DmError::VerbFailed { mn_id } | DmError::VerbTimeout { mn_id } => {
-                        !dm.node_failed(mn_id)
-                    }
-                    _ => false,
-                };
-                if !retryable || attempt >= MAX_RETRIES {
-                    return Err(e);
-                }
-                dm.pool().stats().record_verb_retry(VERB_RETRY_BACKOFF_NS);
-                dm.advance_ns(VERB_RETRY_BACKOFF_NS);
-            }
+            Err(e) => retry_fault(dm, &mut faults, e)?,
         }
     }
 }
@@ -126,9 +116,6 @@ fn with_retry<T>(dm: &DmClient, mut f: impl FnMut(&DmClient) -> DmResult<T>) -> 
 /// node is still alive, the retry back-off is recorded and charged and the
 /// caller should redo the round; fail-stopped nodes and non-transient
 /// errors return `false` so the caller degrades instead of spinning.
-///
-/// A free function over the client's `DmClient` field (not a method) so it
-/// can run while `bucket_buf` is split-borrowed inside the lookup.
 fn verb_fault_retryable(dm: &DmClient, e: &DmError) -> bool {
     let retryable = match *e {
         DmError::VerbFailed { mn_id } | DmError::VerbTimeout { mn_id } => !dm.node_failed(mn_id),
@@ -139,6 +126,37 @@ fn verb_fault_retryable(dm: &DmClient, e: &DmError) -> bool {
         dm.advance_ns(VERB_RETRY_BACKOFF_NS);
     }
     retryable
+}
+
+/// The one fault-retry rule of every client round: books fault `e` against
+/// the round's budget of [`MAX_RETRIES`] tries and returns `Ok` when the
+/// caller should redo the round (see [`verb_fault_retryable`]), or `e`
+/// when the budget is spent, the node fail-stopped or the error is not
+/// transient — retrying a dead node's verbs only burns simulated time.
+///
+/// A free function over the client's `DmClient` field (not a method) so it
+/// can run while other client fields are borrowed.
+fn retry_fault(dm: &DmClient, faults: &mut usize, e: DmError) -> DmResult<()> {
+    *faults += 1;
+    if *faults < MAX_RETRIES && verb_fault_retryable(dm, &e) {
+        Ok(())
+    } else {
+        Err(e)
+    }
+}
+
+/// Charges the client CPU cost of decoding `slots` hash-table slots.
+/// Charged identically in every ring mode; on the pipelined path it
+/// overlaps in-flight transfers — which is exactly what the critical-path
+/// attribution ([`ditto_dm::obs::attribution`]) makes visible: decode time
+/// outranks the concurrent flight span, so the overlapped wire time drops
+/// out of the op's serialized total.  The span also feeds the
+/// `phase="decode"` latency histogram when the op survived the recorder's
+/// sampling draw.
+fn charge_decode(dm: &DmClient, config: &DittoConfig, slots: usize) {
+    let t0 = dm.now_ns();
+    dm.advance_ns(slots as u64 * config.cpu_decode_slot_ns);
+    dm.record_span(Phase::Decode, t0, dm.now_ns(), slots as u32);
 }
 
 /// Slots surfaced by one lookup: the primary and secondary buckets.
@@ -156,6 +174,10 @@ type Candidates = InlineVec<(RemoteAddr, Slot), CANDIDATES_CAP>;
 /// A per-thread Ditto cache client.
 pub struct DittoClient {
     dm: DmClient,
+    /// The ring mode every client round runs in, picked once from
+    /// [`DittoConfig::enable_doorbell_batching`] and
+    /// [`DittoConfig::enable_async_completion`].
+    mode: RingMode,
     config: Arc<DittoConfig>,
     table: SampleFriendlyHashTable,
     history: EvictionHistory,
@@ -268,7 +290,16 @@ impl DittoClient {
                 config.discount_rate(),
             )
         });
+        let mode = match (
+            config.enable_doorbell_batching,
+            config.enable_async_completion,
+        ) {
+            (false, _) => RingMode::Sequential,
+            (true, false) => RingMode::WaitAll,
+            (true, true) => RingMode::Pipelined,
+        };
         DittoClient {
+            mode,
             use_extension: cache.uses_extension(),
             table: cache.table(),
             history: cache.history(),
@@ -591,31 +622,8 @@ impl DittoClient {
         }
     }
 
-    /// Whether the pipelined posted-WQE completion path is active.  Async
-    /// completion rides on doorbell batching; with batching disabled the
-    /// sequential ablation path runs regardless.
-    fn use_async(&self) -> bool {
-        self.config.enable_async_completion && self.config.enable_doorbell_batching
-    }
-
-    /// Charges the client CPU cost of decoding `slots` hash-table slots.
-    /// Charged identically in both completion modes; on the pipelined path
-    /// it overlaps in-flight transfers — which is exactly what the
-    /// critical-path attribution ([`ditto_dm::obs::attribution`]) makes
-    /// visible: decode time outranks the concurrent flight span, so the
-    /// overlapped wire time drops out of the op's serialized total.  The
-    /// span also feeds the `phase="decode"` latency histogram when the op
-    /// survived the recorder's sampling draw.
-    fn charge_decode(&self, slots: usize) {
-        let t0 = self.dm.now_ns();
-        self.dm
-            .advance_ns(slots as u64 * self.config.cpu_decode_slot_ns);
-        self.dm
-            .record_span(Phase::Decode, t0, self.dm.now_ns(), slots as u32);
-    }
-
     /// Charges the client CPU cost of gathering and scoring `candidates`
-    /// eviction candidates (see [`DittoClient::charge_decode`]).
+    /// eviction candidates (see [`charge_decode`]).
     fn charge_score(&self, candidates: usize) {
         self.dm
             .advance_ns(candidates as u64 * self.config.cpu_score_candidate_ns);
@@ -935,31 +943,26 @@ impl DittoClient {
     // ------------------------------------------------------------------
 
     /// Reads the primary and secondary buckets — plus an optional piggybacked
-    /// object WRITE from the `Set` path — in one doorbell batch, and scans
-    /// the decoded slots (primary bucket first) for a live entry.
+    /// object WRITE from the `Set` path — in one round, and scans the
+    /// decoded slots (primary bucket first) for a live entry.
     ///
     /// Both buckets are always fetched (the RACE-style lookup the paper
     /// describes): with doorbell batching the second READ rides along almost
     /// for free, and misses plus secondary hits need it anyway.  This trades
     /// one extra RNIC message per primary-bucket hit against the round trip
     /// the seed's short-circuit (primary first, secondary only on miss) paid
-    /// on every other lookup; see the ROADMAP note on a message-bound hybrid.
-    ///
-    /// With `enable_doorbell_batching = false` the *identical* verb sequence
-    /// is issued one round trip at a time — the ablation isolates batching
-    /// itself, with the verb pattern held constant.  With
-    /// `enable_async_completion` (the default) the same verbs are *posted*
-    /// instead: the object WRITE rides unsignalled, the primary bucket is
-    /// decoded the moment its completion arrives — while the secondary READ
-    /// is still in flight — and a primary-bucket hit skips the secondary
-    /// decode entirely (its completion is still drained; the READ already
-    /// consumed its message either way).
+    /// on every other lookup.  The round runs in the client's ring mode, so
+    /// the verb sequence is identical in every mode; in the pipelined mode
+    /// the object WRITE rides unsignalled, the primary bucket is decoded the
+    /// moment its completion arrives — while the secondary READ is still in
+    /// flight — and a primary-bucket hit skips the secondary decode
+    /// entirely (its completion is still reaped; the READ already consumed
+    /// its message either way).
     ///
     /// When the adaptive hybrid has judged the run *message-bound*
-    /// (`enable_adaptive_lookup`), a `Get` lookup instead short-circuits:
-    /// primary bucket first, secondary only when the key is not there —
-    /// one RNIC message saved per primary-bucket hit, at the cost of a
-    /// second round trip on the other lookups.
+    /// (`enable_adaptive_lookup`), a `Get` lookup posts the secondary READ
+    /// only after a primary miss — one RNIC message saved per primary-bucket
+    /// hit, at the cost of a second round trip on the other lookups.
     ///
     /// Either way the lookup follows the migration redirect rules: bucket
     /// addresses translate through the live stripe directory, and the
@@ -973,14 +976,11 @@ impl DittoClient {
     ) -> DmResult<(SearchSlots, Option<(RemoteAddr, Slot)>)> {
         let primary = self.table.primary_bucket(hash);
         let secondary = self.table.secondary_bucket(hash);
-        // The piggybacked object WRITE of `Set` rides along until a round's
-        // verbs all complete cleanly; after that, retries (migration
-        // redirects, taints) re-read the buckets alone.  An error anywhere
-        // in a write-carrying round re-arms the WRITE: an unsignalled
-        // rider's error completion carries no usable attribution here, and
-        // re-posting an idempotent, still-unpublished object WRITE is
-        // harmless (fault-free runs clear it on the first round, exactly
-        // like the pre-fault code).
+        // The piggybacked object WRITE of `Set` rides along until its own
+        // status comes back clean; after that, retries (migration
+        // redirects, taints, bucket faults) re-read the buckets alone.
+        // Re-posting an idempotent, still-unpublished object WRITE is
+        // harmless.
         let mut write = write;
         // Token mismatches consume retry budget; reads that saw a stripe
         // reconcile's poison do not — that window is bounded by the
@@ -990,7 +990,7 @@ impl DittoClient {
         // burn a budget of their own so a fault storm cannot starve the
         // token-staleness retries (or vice versa).
         let mut attempt = 0;
-        let mut fault_attempts = 0;
+        let mut faults = 0;
         loop {
             let last = attempt + 1 >= MAX_RETRIES;
             let ptok = self.table.bucket_entry_token(primary);
@@ -1002,129 +1002,67 @@ impl DittoClient {
             let translate_ns = self.dm.now_ns();
             self.dm
                 .record_span(Phase::Translate, translate_ns, translate_ns, attempt as u32);
-            let short_circuit = self.lookup_short_circuit && write.is_none();
+            let lazy_secondary = self.lookup_short_circuit && write.is_none();
             let mut slots = SearchSlots::new();
-            if short_circuit {
-                // (Field-disjoint clock charges: `bucket_buf` stays borrowed
-                // across the reads, so `charge_decode` cannot be called.)
-                let decode_ns = SLOTS_PER_BUCKET as u64 * self.config.cpu_decode_slot_ns;
-                let (primary_buf, secondary_buf) = self.bucket_buf.split_at_mut(BUCKET_SIZE);
-                if let Err(e) = self.dm.try_read_into(primary_addr, primary_buf) {
-                    fault_attempts += 1;
-                    if fault_attempts < MAX_RETRIES && verb_fault_retryable(&self.dm, &e) {
-                        continue;
-                    }
-                    return Err(e);
-                }
-                if SampleFriendlyHashTable::bucket_tainted(primary_buf) {
-                    self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
+            let (primary_buf, secondary_buf) = self.bucket_buf.split_at_mut(BUCKET_SIZE);
+            let mut wq = self.dm.work_queue_in(self.mode);
+            let wr_write = write.map(|(addr, data)| wq.post_write(addr, data, false));
+            let wr_primary = wq.post_read(primary_addr, primary_buf, true);
+            let wr_secondary =
+                (!lazy_secondary).then(|| wq.post_read(secondary_addr, secondary_buf, true));
+            let mut round = wq.submit();
+            drop(wq);
+            if let Some(wr) = wr_write {
+                if let Err(e) = round.wait(wr) {
+                    retry_fault(&self.dm, &mut faults, e)?;
                     continue;
                 }
-                SampleFriendlyHashTable::decode_slots(primary_addr, primary_buf, &mut slots);
-                self.dm.advance_ns(decode_ns);
-                let t1 = self.dm.now_ns();
-                self.dm
-                    .record_span(Phase::Decode, t1 - decode_ns, t1, SLOTS_PER_BUCKET as u32);
-                if let Some(found) = Self::find_live(&slots, hash, fp) {
-                    if self.table.bucket_entry_token(primary) == ptok || last {
-                        return Ok((slots, Some(found)));
-                    }
-                    attempt += 1;
-                    continue;
-                }
-                if let Err(e) = self.dm.try_read_into(secondary_addr, secondary_buf) {
-                    fault_attempts += 1;
-                    if fault_attempts < MAX_RETRIES && verb_fault_retryable(&self.dm, &e) {
-                        continue;
-                    }
-                    return Err(e);
-                }
-                if SampleFriendlyHashTable::bucket_tainted(secondary_buf) {
-                    self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
-                    continue;
-                }
-                SampleFriendlyHashTable::decode_slots(secondary_addr, secondary_buf, &mut slots);
-                self.dm.advance_ns(decode_ns);
-                let t1 = self.dm.now_ns();
-                self.dm
-                    .record_span(Phase::Decode, t1 - decode_ns, t1, SLOTS_PER_BUCKET as u32);
-            } else if self.use_async() {
-                // Pipelined lookup: post the object WRITE (if any)
-                // *unsignalled* — `Set` never waits for it — and both bucket
-                // READs signalled, behind one doorbell per distinct node.
-                let (wr_primary, wr_secondary);
-                let write_rides = write.is_some();
-                {
-                    let (primary_buf, secondary_buf) = self.bucket_buf.split_at_mut(BUCKET_SIZE);
-                    let mut wq = self.dm.work_queue();
-                    if let Some((addr, data)) = write {
-                        wq.post_write(addr, data, false);
-                    }
-                    wr_primary = wq.post_read(primary_addr, primary_buf, true);
-                    wr_secondary = wq.post_read(secondary_addr, secondary_buf, true);
-                    wq.ring();
-                }
-                // Wait for the *primary* bucket specifically: a slow
-                // unsignalled WRITE queued ahead of it can push its
-                // completion past the secondary's on a multi-node pool, so
-                // the wr_id is matched rather than assuming arrival order.
-                // Then decode while the secondary READ is (possibly) still
-                // in flight — the CPU work hides behind the wire.  Error
-                // completions (the rider WRITE's included — unsignalled
-                // WQEs fault loudly) abort the round.
-                let mut secondary_done = false;
-                let mut round_err = None;
-                loop {
-                    let completion = self.dm.poll_cq().expect("bucket completion");
-                    if let Err(e) = completion.status.check() {
-                        round_err = Some(e);
-                        break;
-                    }
-                    if completion.wr_id == wr_primary {
-                        break;
-                    }
-                    debug_assert_eq!(completion.wr_id, wr_secondary);
-                    secondary_done = true;
-                }
-                if let Some(e) = round_err {
-                    // Consume this round's stragglers so the next round's
-                    // polling starts from an empty queue.
-                    let _ = self.dm.try_drain_cq();
-                    fault_attempts += 1;
-                    if fault_attempts < MAX_RETRIES && verb_fault_retryable(&self.dm, &e) {
-                        continue;
-                    }
-                    return Err(e);
-                }
-                if SampleFriendlyHashTable::bucket_tainted(&self.bucket_buf[..BUCKET_SIZE]) {
-                    if self.dm.try_drain_cq().is_ok() {
-                        // The round's verbs all landed (an unsignalled
-                        // WRITE that fails leaves an error completion), so
-                        // poison retries re-read the buckets alone.
-                        write = None;
-                    }
-                    self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
-                    continue;
-                }
-                SampleFriendlyHashTable::decode_slots(
-                    primary_addr,
-                    &self.bucket_buf[..BUCKET_SIZE],
-                    &mut slots,
-                );
-                self.charge_decode(SLOTS_PER_BUCKET);
+                write = None;
+            }
+            // The one mode-dependent step.  The pipelined lookup decodes the
+            // primary bucket while the secondary READ is in flight and
+            // returns on a primary hit without decoding the secondary.  In
+            // the synchronous modes both buckets are charged when the ring
+            // returns, and the lookup checks both for taint and decodes both
+            // before it looks for the key.  Skipping that secondary decode
+            // on a primary hit would make the synchronous modes cheaper, and
+            // it is the whole measured async-completion win: with only that
+            // change, ops_bench's pipelined/batched speedup fell from 1.0224
+            // to 0.9944 (batched p50 4.608 -> 4.352 us, unbatched 140.1k ->
+            // 143.0k ops/s), and with async completion off perfbench's
+            // sim_ops_per_s rose 0.6% on read-remote and churn-evict while
+            // sim_get_p99_us got 2.4% worse on read-remote and elastic-tier.
+            // Choosing the completion model is a separate change; keeping
+            // this step keeps every simulated number as it was.
+            let decode_both = self.mode != RingMode::Pipelined && !lazy_secondary;
+            let buckets = if decode_both { 2 } else { 1 };
+            let waited = round.wait(wr_primary).and_then(|()| match wr_secondary {
+                Some(wr) if decode_both => round.wait(wr),
+                _ => Ok(()),
+            });
+            if let Err(e) = waited {
+                retry_fault(&self.dm, &mut faults, e)?;
+                continue;
+            }
+            if SampleFriendlyHashTable::bucket_tainted(&self.bucket_buf[..buckets * BUCKET_SIZE]) {
+                // Reap the round before backing off.
+                drop(round);
+                self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
+                continue;
+            }
+            for (i, addr) in [primary_addr, secondary_addr][..buckets].iter().enumerate() {
+                let bytes = &self.bucket_buf[i * BUCKET_SIZE..(i + 1) * BUCKET_SIZE];
+                SampleFriendlyHashTable::decode_slots(*addr, bytes, &mut slots);
+            }
+            charge_decode(&self.dm, &self.config, buckets * SLOTS_PER_BUCKET);
+            if !decode_both {
                 if let Some(found) = Self::find_live(&slots, hash, fp) {
                     // A primary-bucket hit never needs the secondary's
-                    // bytes; its completion is drained (by now usually in
-                    // the past, hidden behind the primary decode).
-                    match self.dm.try_drain_cq() {
-                        Ok(_) => write = None,
-                        Err(e) => {
-                            fault_attempts += 1;
-                            if fault_attempts < MAX_RETRIES && verb_fault_retryable(&self.dm, &e) {
-                                continue;
-                            }
-                            return Err(e);
-                        }
+                    // bytes; its completion is still reaped (by now usually
+                    // in the past, hidden behind the primary decode).
+                    if let Err(e) = wr_secondary.map_or(Ok(()), |wr| round.wait(wr)) {
+                        retry_fault(&self.dm, &mut faults, e)?;
+                        continue;
                     }
                     if self.table.bucket_entry_token(primary) == ptok || last {
                         return Ok((slots, Some(found)));
@@ -1132,75 +1070,27 @@ impl DittoClient {
                     attempt += 1;
                     continue;
                 }
-                if !secondary_done {
-                    let completion = self.dm.poll_cq().expect("secondary bucket completion");
-                    if let Err(e) = completion.status.check() {
-                        let _ = self.dm.try_drain_cq();
-                        fault_attempts += 1;
-                        if fault_attempts < MAX_RETRIES && verb_fault_retryable(&self.dm, &e) {
-                            continue;
-                        }
-                        return Err(e);
+                let wr = match wr_secondary {
+                    Some(wr) => wr,
+                    None => {
+                        let mut wq = self.dm.work_queue_in(self.mode);
+                        let buf = &mut self.bucket_buf[BUCKET_SIZE..];
+                        let wr = wq.post_read(secondary_addr, buf, true);
+                        round = wq.submit();
+                        wr
                     }
+                };
+                if let Err(e) = round.wait(wr) {
+                    retry_fault(&self.dm, &mut faults, e)?;
+                    continue;
                 }
-                if write_rides {
-                    // A rider-WRITE error on a *different* node can land
-                    // after both bucket completions; surface it now.
-                    // Fault-free the queue is empty and this costs nothing.
-                    match self.dm.try_drain_cq() {
-                        Ok(_) => write = None,
-                        Err(e) => {
-                            fault_attempts += 1;
-                            if fault_attempts < MAX_RETRIES && verb_fault_retryable(&self.dm, &e) {
-                                continue;
-                            }
-                            return Err(e);
-                        }
-                    }
-                }
-                if SampleFriendlyHashTable::bucket_tainted(&self.bucket_buf[BUCKET_SIZE..]) {
+                let bytes = &self.bucket_buf[BUCKET_SIZE..];
+                if SampleFriendlyHashTable::bucket_tainted(bytes) {
                     self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
                     continue;
                 }
-                SampleFriendlyHashTable::decode_slots(
-                    secondary_addr,
-                    &self.bucket_buf[BUCKET_SIZE..],
-                    &mut slots,
-                );
-                self.charge_decode(SLOTS_PER_BUCKET);
-            } else {
-                let (primary_buf, secondary_buf) = self.bucket_buf.split_at_mut(BUCKET_SIZE);
-                let mut batch = self.dm.batch();
-                if let Some((addr, data)) = write {
-                    batch
-                        .write(addr, data)
-                        .expect("a lookup batch holds three verbs");
-                }
-                batch
-                    .read_into(primary_addr, primary_buf)
-                    .expect("a lookup batch holds three verbs");
-                batch
-                    .read_into(secondary_addr, secondary_buf)
-                    .expect("a lookup batch holds three verbs");
-                match batch.try_execute_mode(self.config.enable_doorbell_batching) {
-                    Ok(_) => write = None,
-                    Err(e) => {
-                        fault_attempts += 1;
-                        if fault_attempts < MAX_RETRIES && verb_fault_retryable(&self.dm, &e) {
-                            continue;
-                        }
-                        return Err(e);
-                    }
-                }
-                if SampleFriendlyHashTable::bucket_tainted(primary_buf)
-                    || SampleFriendlyHashTable::bucket_tainted(secondary_buf)
-                {
-                    self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
-                    continue;
-                }
-                SampleFriendlyHashTable::decode_slots(primary_addr, primary_buf, &mut slots);
-                SampleFriendlyHashTable::decode_slots(secondary_addr, secondary_buf, &mut slots);
-                self.charge_decode(2 * SLOTS_PER_BUCKET);
+                SampleFriendlyHashTable::decode_slots(secondary_addr, bytes, &mut slots);
+                charge_decode(&self.dm, &self.config, SLOTS_PER_BUCKET);
             }
             if (self.table.bucket_entry_token(primary) == ptok
                 && self.table.bucket_entry_token(secondary) == stok)
@@ -1259,7 +1149,7 @@ impl DittoClient {
                 self.obj_buf.resize(obj_len, 0);
             }
             // Hoist the frequency-counter flush decision *before* the object
-            // READ so any due `RDMA_FAA` rides the same doorbell batch as
+            // READ so any due `RDMA_FAA` rides the same round as
             // the READ instead of paying its own round trip afterwards
             // (~0.2 µs per hit at `fc_threshold = 10`).  The no-FC-cache
             // ablation keeps its per-hit FAA after key validation (in
@@ -1270,75 +1160,39 @@ impl DittoClient {
             } else {
                 FcFlushes::default()
             };
-            // A faulted object READ degrades to a miss (linearizable — see
-            // the lookup fault handling above), taking back the optimistic
-            // frequency increment first.
-            let degrade_to_miss = |client: &mut Self| {
-                if client.config.enable_fc_cache {
-                    client.fc.forgive(freq_addr);
+            // Only the object READ's own status decides the hit: a faulted
+            // FAA flush merely loses one counter increment.  The due flushes
+            // ride the first attempt unsignalled — the client waits for the
+            // object bytes only — and a faulted READ is retried alone.
+            let obj_addr = slot.atomic.object_addr();
+            let (mut riders, mut faults) = (flushes, 0);
+            let read = loop {
+                let mut wq = self.dm.work_queue_in(self.mode);
+                let wr = wq.post_read(obj_addr, &mut self.obj_buf[..obj_len], true);
+                for (addr, delta) in std::mem::take(&mut riders) {
+                    wq.post_faa(addr, delta, false);
                 }
-                client.stats.record_miss();
+                match wq.submit().wait(wr) {
+                    Ok(()) => break Ok(()),
+                    Err(e) => {
+                        if let Err(e) = retry_fault(&self.dm, &mut faults, e) {
+                            break Err(e);
+                        }
+                    }
+                }
             };
-            if flushes.is_empty() {
-                let obj_addr = slot.atomic.object_addr();
-                let buf = &mut self.obj_buf[..obj_len];
-                if with_retry(&self.dm, |dm| dm.try_read_into(obj_addr, buf)).is_err() {
-                    degrade_to_miss(self);
-                    return false;
+            for _ in 0..flushes.len() {
+                self.stats.record_fc_flush();
+            }
+            if read.is_err() {
+                // A faulted object READ degrades to a miss (linearizable —
+                // see the lookup fault handling above), taking back the
+                // optimistic frequency increment first.
+                if self.config.enable_fc_cache {
+                    self.fc.forgive(freq_addr);
                 }
-            } else if self.use_async() {
-                // The due FAA flushes ride the posting round *unsignalled*:
-                // the client waits for the object bytes only, never for the
-                // (slower) atomics.
-                let wr_read;
-                {
-                    let mut wq = self.dm.work_queue();
-                    wr_read = wq.post_read(
-                        slot.atomic.object_addr(),
-                        &mut self.obj_buf[..obj_len],
-                        true,
-                    );
-                    for (addr, delta) in flushes {
-                        wq.post_faa(addr, delta, false);
-                    }
-                    wq.ring();
-                }
-                // Only the READ's own status decides the hit: a faulted
-                // unsignalled FAA merely loses one counter increment, so
-                // its error completion is tolerated and polling continues
-                // until the READ's wr_id drains.
-                let read_err = loop {
-                    let completion = self.dm.poll_cq().expect("object READ completion");
-                    if completion.wr_id == wr_read {
-                        break completion.status.check().err();
-                    }
-                };
-                for _ in 0..flushes.len() {
-                    self.stats.record_fc_flush();
-                }
-                if let Some(_e) = read_err {
-                    let _ = self.dm.try_drain_cq();
-                    degrade_to_miss(self);
-                    return false;
-                }
-            } else {
-                let mut batch = self.dm.batch();
-                batch
-                    .read_into(slot.atomic.object_addr(), &mut self.obj_buf[..obj_len])
-                    .expect("an object batch holds few verbs");
-                for (addr, delta) in flushes {
-                    batch
-                        .faa(addr, delta)
-                        .expect("an object batch holds few verbs");
-                }
-                let batch_result = batch.try_execute_mode(self.config.enable_doorbell_batching);
-                for _ in 0..flushes.len() {
-                    self.stats.record_fc_flush();
-                }
-                if batch_result.is_err() {
-                    degrade_to_miss(self);
-                    return false;
-                }
+                self.stats.record_miss();
+                return false;
             }
             let Some(view) = object::view(&self.obj_buf[..obj_len]) else {
                 // Raced with an eviction that already reused the blocks;
@@ -2135,41 +1989,30 @@ impl DittoClient {
     ///
     /// The sample-friendly table needs a single `RDMA_READ` of K consecutive
     /// slots — or, when the sampled span crosses a stripe boundary of the
-    /// striped table, one READ per memory node touched, issued behind a
-    /// single doorbell.  The sampled *global* slot indices are independent
-    /// of the striping, so striped and single-node caches examine identical
-    /// candidates.  The scattered-metadata ablation needs K independent
-    /// slot READs; on the pipelined path they are posted signalled and each
-    /// candidate is decoded and scored **as its completion drains**, so the
-    /// scoring of early slots overlaps the remaining flights.  With
-    /// batching disabled the verbs go out sequentially — exactly the seed's
-    /// behaviour.
+    /// striped table, one READ per memory node touched, in one round.  The
+    /// sampled *global* slot indices are independent of the striping, so
+    /// striped and single-node caches examine identical candidates.  The
+    /// scattered-metadata ablation needs K independent slot READs.  Either
+    /// way each read is decoded (and each candidate scored) as it arrives,
+    /// so on the pipelined path the decoding of early reads overlaps the
+    /// remaining flights.
     fn read_eviction_sample(&mut self, candidates: &mut Candidates) {
         let sample_size = self.config.sample_size;
         if self.config.enable_sample_friendly_table {
-            let (start, count) = self.table.sample_span(&mut self.rng, sample_size);
+            let span = self.table.sample_span(&mut self.rng, sample_size);
             let mut sample: InlineVec<(RemoteAddr, Slot), { DittoConfig::MAX_SAMPLE_SIZE }> =
                 InlineVec::new();
-            if self.use_async() {
-                self.read_span_pipelined(start, count, &mut sample);
-            } else {
-                // A faulted sample read yields no candidates this round;
-                // the caller's retry loop re-samples a different span.
-                if self
-                    .table
-                    .try_read_span_into(
-                        &self.dm,
-                        start,
-                        count,
-                        &mut self.sample_buf,
-                        self.config.enable_doorbell_batching,
-                        &mut sample,
-                    )
-                    .is_ok()
-                {
-                    self.charge_decode(count);
-                }
-            }
+            let (dm, config) = (&self.dm, &self.config);
+            // A faulted sample read yields no candidates this round; the
+            // caller's retry loop re-samples a different span.
+            let _ = self.table.try_read_span_into(
+                dm,
+                span,
+                &mut self.sample_buf,
+                self.mode,
+                &mut sample,
+                |slots| charge_decode(dm, config, slots),
+            );
             let mut gathered = 0;
             for &(slot_addr, slot) in sample.iter() {
                 if slot.atomic.is_object() && candidates.push_saturating((slot_addr, slot)) {
@@ -2179,147 +2022,31 @@ impl DittoClient {
             self.charge_score(gathered);
         } else {
             // Ablation: metadata scattered with the objects requires one READ
-            // per sampled candidate — all independent, hence one doorbell.
+            // per sampled candidate — all independent, hence one round.  A
+            // faulted slot READ drops that one candidate; the rest of the
+            // sample is still usable.
             let mut addrs: InlineVec<RemoteAddr, { DittoConfig::MAX_SAMPLE_SIZE }> =
                 InlineVec::new();
             for _ in 0..sample_size {
                 let idx = self.rng.gen_range(0..self.table.num_slots());
                 addrs.push(self.table.global_slot_addr(idx));
             }
-            if self.use_async() {
-                {
-                    let mut wq = self.dm.work_queue();
-                    let buf = &mut self.sample_buf[..sample_size * SLOT_SIZE];
-                    for (chunk, &addr) in buf.chunks_mut(SLOT_SIZE).zip(addrs.iter()) {
-                        wq.post_read(addr, chunk, true);
-                    }
-                    wq.ring();
-                }
-                // Equal-size READs complete in posting order (per-node
-                // in-order queue pairs), so completion i is slot i; each
-                // candidate is decoded and scored while later slot READs
-                // are still in flight.
-                for (i, &addr) in addrs.iter().enumerate() {
-                    let completion = self.dm.poll_cq().expect("sample slot completion");
-                    self.charge_decode(1);
-                    // A faulted slot READ drops that one candidate; the
-                    // rest of the sample is still usable.
-                    if completion.status.check().is_err() {
-                        continue;
-                    }
-                    let slot =
-                        Slot::from_bytes(&self.sample_buf[i * SLOT_SIZE..(i + 1) * SLOT_SIZE]);
-                    if slot.atomic.is_object() && candidates.push_saturating((addr, slot)) {
-                        self.charge_score(1);
-                    }
-                }
-            } else {
-                let buf = &mut self.sample_buf[..sample_size * SLOT_SIZE];
-                let mut ok = true;
-                let mut batch = self.dm.batch();
-                for (chunk, &addr) in buf.chunks_mut(SLOT_SIZE).zip(addrs.iter()) {
-                    if batch.len() == MAX_BATCH {
-                        // An oversized sample flushes into an extra doorbell
-                        // instead of aborting the client.
-                        ok &= std::mem::replace(&mut batch, self.dm.batch())
-                            .try_execute_mode(self.config.enable_doorbell_batching)
-                            .is_ok();
-                    }
-                    batch.read_into(addr, chunk).expect("batch has room");
-                }
-                ok &= batch
-                    .try_execute_mode(self.config.enable_doorbell_batching)
-                    .is_ok();
-                self.charge_decode(sample_size);
-                // Without per-READ attribution a faulted batch abandons the
-                // whole sample (the caller re-samples).
-                if !ok {
-                    return;
-                }
-                let mut gathered = 0;
-                for (i, &addr) in addrs.iter().enumerate() {
-                    let slot =
-                        Slot::from_bytes(&self.sample_buf[i * SLOT_SIZE..(i + 1) * SLOT_SIZE]);
-                    if slot.atomic.is_object() && candidates.push_saturating((addr, slot)) {
-                        gathered += 1;
-                    }
-                }
-                self.charge_score(gathered);
+            let mut wq = self.dm.work_queue_in(self.mode);
+            for (chunk, &addr) in self.sample_buf.chunks_mut(SLOT_SIZE).zip(addrs.iter()) {
+                wq.post_read(addr, chunk, true);
             }
-        }
-    }
-
-    /// Pipelined read of the span of `count` consecutive global slots
-    /// starting at `start`: one posted READ per physical segment, each
-    /// decoded (and charged) as its completion drains, so decoding one
-    /// segment overlaps the remaining segments' flights.  A single-segment
-    /// span — the common case — degenerates to one plain READ, exactly
-    /// like the synchronous path.
-    fn read_span_pipelined(
-        &mut self,
-        start: u64,
-        count: usize,
-        out: &mut impl Extend<(RemoteAddr, Slot)>,
-    ) {
-        let mut segments: InlineVec<(RemoteAddr, usize), MAX_BATCH> = InlineVec::new();
-        self.table
-            .for_span_segments(start, count, |addr, slots| segments.push((addr, slots)));
-        if let [(addr, slots)] = segments[..] {
-            // Faulted sample READ: no candidates, the caller re-samples.
-            if self
-                .dm
-                .try_read_into(addr, &mut self.sample_buf[..slots * SLOT_SIZE])
-                .is_err()
-            {
-                return;
+            let round = wq.submit();
+            drop(wq);
+            for (i, status) in round {
+                charge_decode(&self.dm, &self.config, 1);
+                if status.is_err() {
+                    continue;
+                }
+                let slot = Slot::from_bytes(&self.sample_buf[i * SLOT_SIZE..(i + 1) * SLOT_SIZE]);
+                if slot.atomic.is_object() && candidates.push_saturating((addrs[i], slot)) {
+                    self.charge_score(1);
+                }
             }
-            SampleFriendlyHashTable::decode_slots(addr, &self.sample_buf[..slots * SLOT_SIZE], out);
-            self.charge_decode(slots);
-            return;
-        }
-        // Work-request id and buffer offset of each posted segment.
-        let mut posted: InlineVec<(u64, usize), MAX_BATCH> = InlineVec::new();
-        {
-            let mut wq = self.dm.work_queue();
-            let mut rest = &mut self.sample_buf[..count * SLOT_SIZE];
-            let mut offset = 0usize;
-            for &(addr, slots) in segments.iter() {
-                let (chunk, tail) = rest.split_at_mut(slots * SLOT_SIZE);
-                posted.push((wq.post_read(addr, chunk, true), offset));
-                offset += slots * SLOT_SIZE;
-                rest = tail;
-            }
-            wq.ring();
-        }
-        // Decode whichever segment completes next — a small segment on an
-        // idle node may overtake a bigger one elsewhere — charging its
-        // decode cost while the remaining segments are still in flight.
-        let mut span_err = false;
-        for _ in 0..segments.len() {
-            let completion = self.dm.poll_cq().expect("sample segment completion");
-            let seg = posted
-                .iter()
-                .position(|&(wr, _)| wr == completion.wr_id)
-                .expect("completion belongs to this span");
-            self.charge_decode(segments[seg].1);
-            span_err |= completion.status.check().is_err();
-        }
-        // Segment buffers are only chunk-aligned per posting, so one
-        // faulted segment invalidates positional decoding of the span —
-        // abandon the whole sample and let the caller re-sample.
-        if span_err {
-            return;
-        }
-        // The candidate *order* must not depend on completion timing (ties
-        // in eviction priorities break by position), so the decoded slots
-        // are appended in canonical segment order — identical to the
-        // synchronous path.
-        for (&(_, begin), &(addr, slots)) in posted.iter().zip(segments.iter()) {
-            SampleFriendlyHashTable::decode_slots(
-                addr,
-                &self.sample_buf[begin..begin + slots * SLOT_SIZE],
-                out,
-            );
         }
     }
 
@@ -2389,10 +2116,17 @@ impl DittoClient {
                         self.counters_known[shard as usize] = true;
                         let hist_atomic = AtomicField::for_history(victim.atomic.fp, hist_id);
                         if self.slot_cas(victim_addr, expected, hist_atomic.encode()) {
-                            self.write_slot_meta(
-                                SampleFriendlyHashTable::insert_ts_addr(victim_addr),
-                                &bitmap.to_le_bytes(),
-                            );
+                            // Unlike the stateless recency fields, the expert
+                            // bitmap is retried when its WRITE faults: a lost
+                            // one would leave the victim's insert timestamp
+                            // to be read back as the bitmap at regret time.
+                            let bitmap_addr = SampleFriendlyHashTable::insert_ts_addr(victim_addr);
+                            let bytes = bitmap.to_le_bytes();
+                            let _ =
+                                with_retry(&self.dm, |dm| dm.try_write_async(bitmap_addr, &bytes));
+                            if let Some(mirror) = self.table.directory().mirror_of(bitmap_addr) {
+                                let _ = self.dm.try_write_async(mirror, &bytes);
+                            }
                             self.stats.record_history_insert();
                             true
                         } else {

@@ -39,9 +39,9 @@
 use crate::hash::{fnv1a64, secondary_hash};
 use crate::inline::InlineVec;
 use crate::slot::{Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
-use ditto_dm::batch::MAX_BATCH;
 use ditto_dm::migration::StripeDirectory;
-use ditto_dm::{DmClient, DmResult, MemoryPool, RemoteAddr};
+use ditto_dm::wqe::MAX_WQES;
+use ditto_dm::{DmClient, DmResult, MemoryPool, RemoteAddr, RingMode};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -340,59 +340,51 @@ impl SampleFriendlyHashTable {
     }
 
     /// Reads the span of `count` consecutive global slots starting at
-    /// `start` into `buf` (which must hold at least `count * SLOT_SIZE`
-    /// bytes) and decodes `(slot address, slot)` pairs into `out`, without
-    /// allocating.  A span inside one physical segment issues the seed's
-    /// single plain `RDMA_READ`; a span straddling memory nodes issues one
-    /// READ per segment — behind a single doorbell when `batched`, or one
-    /// round trip at a time otherwise (the ablation path).
+    /// `start` (as returned by [`SampleFriendlyHashTable::sample_span`])
+    /// into `buf` (which must hold at least `count * SLOT_SIZE` bytes) and
+    /// decodes `(slot address, slot)` pairs into `out`, without allocating.
+    ///
+    /// The span's per-node segments are read in one round of `mode`; a span
+    /// inside one physical segment is the seed's single plain `RDMA_READ`.
+    /// `arrived(slots)` is called as each segment's bytes arrive — in
+    /// completion order, so a pipelined caller can charge one segment's
+    /// decode while the others are still in flight — but the slots are
+    /// decoded in canonical segment order, so candidate order never depends
+    /// on completion timing.  A faulted segment surfaces as an error with
+    /// nothing decoded into `out` (positional decoding of the span is then
+    /// unusable), so a sampler can skip the round instead of panicking.
     ///
     /// # Panics
     ///
     /// Panics if `buf` is too small or the span splits into more than
-    /// [`MAX_BATCH`] segments (impossible for eviction-sample-sized spans).
-    pub fn read_span_into(
-        &self,
-        client: &DmClient,
-        start: u64,
-        count: usize,
-        buf: &mut [u8],
-        batched: bool,
-        out: &mut impl Extend<(RemoteAddr, Slot)>,
-    ) {
-        self.try_read_span_into(client, start, count, buf, batched, out)
-            .unwrap_or_else(|e| panic!("span read failed: {e}"));
-    }
-
-    /// Fallible [`SampleFriendlyHashTable::read_span_into`]: a faulted
-    /// segment read surfaces as an error with nothing decoded into `out`,
-    /// so a sampler can skip the round instead of panicking.
+    /// [`MAX_WQES`] segments (impossible for eviction-sample-sized spans).
     pub fn try_read_span_into(
         &self,
         client: &DmClient,
-        start: u64,
-        count: usize,
+        (start, count): (u64, usize),
         buf: &mut [u8],
-        batched: bool,
+        mode: RingMode,
         out: &mut impl Extend<(RemoteAddr, Slot)>,
+        mut arrived: impl FnMut(usize),
     ) -> DmResult<()> {
         let buf = &mut buf[..count * SLOT_SIZE];
-        let mut segments: InlineVec<(RemoteAddr, usize), MAX_BATCH> = InlineVec::new();
-        self.for_span_segments(start, count, |addr, slots| segments.push((addr, slots)));
-        if let [(addr, _)] = segments[..] {
-            client.try_read_into(addr, buf)?;
-        } else {
-            let mut batch = client.batch();
-            let mut rest = &mut buf[..];
-            for &(addr, slots) in segments.iter() {
-                let (chunk, tail) = rest.split_at_mut(slots * SLOT_SIZE);
-                batch
-                    .read_into(addr, chunk)
-                    .expect("a span splits into at most MAX_BATCH segments");
-                rest = tail;
-            }
-            batch.try_execute_mode(batched)?;
+        let mut segments: InlineVec<(RemoteAddr, usize), MAX_WQES> = InlineVec::new();
+        let mut wq = client.work_queue_in(mode);
+        let mut rest = &mut buf[..];
+        self.for_span_segments(start, count, |addr, slots| {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(slots * SLOT_SIZE);
+            rest = tail;
+            wq.post_read(addr, chunk, true);
+            segments.push((addr, slots));
+        });
+        let round = wq.submit();
+        drop(wq);
+        let mut result = Ok(());
+        for (seg, status) in round {
+            arrived(segments[seg].1);
+            result = result.and(status);
         }
+        result?;
         let mut offset = 0usize;
         for &(addr, slots) in segments.iter() {
             Self::decode_slots(addr, &buf[offset..offset + slots * SLOT_SIZE], out);
@@ -404,17 +396,22 @@ impl SampleFriendlyHashTable {
     /// Reads `count` consecutive slots starting at a random position
     /// (allocating convenience wrapper over
     /// [`SampleFriendlyHashTable::sample_span`] and
-    /// [`SampleFriendlyHashTable::read_span_into`]).
+    /// [`SampleFriendlyHashTable::try_read_span_into`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fault is injected into the read.
     pub fn read_sample<R: Rng + ?Sized>(
         &self,
         client: &DmClient,
         rng: &mut R,
         count: usize,
     ) -> Vec<(RemoteAddr, Slot)> {
-        let (start, count) = self.sample_span(rng, count);
-        let mut bytes = vec![0u8; count * SLOT_SIZE];
-        let mut out = Vec::with_capacity(count);
-        self.read_span_into(client, start, count, &mut bytes, true, &mut out);
+        let span = self.sample_span(rng, count);
+        let mut bytes = vec![0u8; span.1 * SLOT_SIZE];
+        let mut out = Vec::with_capacity(span.1);
+        self.try_read_span_into(client, span, &mut bytes, RingMode::WaitAll, &mut out, drop)
+            .unwrap_or_else(|e| panic!("span read failed: {e}"));
         out
     }
 

@@ -1,87 +1,62 @@
-//! Synchronous doorbell batches: the post-all/wait-all convenience over the
-//! posted-WQE model.
+//! Synchronous doorbell batches: a thin wrapper that builds a
+//! [`RingMode::WaitAll`] or [`RingMode::Sequential`] [`WorkQueue`].
 //!
-//! The primitive data-path abstraction of this crate is the posted-work
-//! model in [`crate::wqe`] / [`crate::cq`]: WQEs are posted signalled or
-//! unsignalled, one doorbell starts them, and the client polls the
-//! completion queue when — and only when — it actually needs a result,
-//! overlapping CPU work with the in-flight transfers.
+//! The data path of this crate is one posted-work path with three ring
+//! modes (see [`crate::wqe`]).  [`BatchBuilder`] queues up to
+//! [`MAX_BATCH`] verbs into a work queue and then
 //!
-//! [`BatchBuilder`] is the **synchronous compatibility wrapper** over that
-//! model: it queues up to [`MAX_BATCH`] verbs (the same inline, zero-
-//! allocation representation the [`crate::WorkQueue`] uses) and then
-//!
-//! * [`BatchBuilder::execute`] behaves like *post all → ring → immediately
-//!   drain every completion with a free poll*: it charges `fanout ×
-//!   doorbell_latency_ns + n × verb_issue_ns + max(per-verb transfer
-//!   latency)` in one step — where `fanout` is the number of **distinct
-//!   memory nodes** touched (one doorbell per node; the transfers overlap
-//!   across the NICs) — and records the batch size and fan-out in the pool
-//!   statistics.  In NIC terms only the last WQE is signalled and the
-//!   client spins on it right away, which is why no post-to-poll CPU work
-//!   can be hidden: that overlap is exactly what the posted model buys and
-//!   this wrapper gives up (deliberately — it is the ablation baseline for
-//!   the pipelined hot paths).
-//! * [`BatchBuilder::execute_sequential`] issues the same verbs one
-//!   signalled round trip at a time, charging the sum of the individual
-//!   round trips — the ablation used by the `enable_doorbell_batching =
-//!   false` configuration to quantify what batching buys.
+//! * [`BatchBuilder::execute`] rings it in [`RingMode::WaitAll`]: post all,
+//!   ring once, wait for all — `fanout × doorbell_latency_ns + n ×
+//!   verb_issue_ns + max(per-verb transfer latency)` charged in one step,
+//!   where `fanout` is the number of **distinct memory nodes** touched (one
+//!   doorbell per node; the transfers overlap across the NICs);
+//! * [`BatchBuilder::execute_sequential`] rings it in
+//!   [`RingMode::Sequential`]: one signalled round trip at a time, charging
+//!   the sum — the ablation that quantifies what batching buys.
 //!
 //! Either way every verb still consumes one RNIC message on the target
-//! memory node: doorbell batching saves *latency*, not message rate.  What
-//! multi-node fan-out buys on top is *message-rate headroom*: a batch that
-//! spreads its verbs over `k` nodes burdens each RNIC with only its own
-//! share, which is how the throughput ceiling scales with pool size once
-//! the hash table and segments are striped (see `ditto_dm::topology`).
+//! memory node: doorbell batching saves *latency*, not message rate.
 //!
-//! Unlike the auto-ringing [`crate::WorkQueue`], a full batch reports a
-//! typed [`DmError::BatchFull`] from its queueing methods, letting callers
-//! flush and continue instead of aborting.
+//! Unlike the auto-ringing [`WorkQueue`], a full batch reports a typed
+//! [`DmError::BatchFull`] from its queueing methods, letting callers flush
+//! and continue instead of aborting.
 
 use crate::addr::RemoteAddr;
 use crate::client::DmClient;
 use crate::error::{DmError, DmResult};
-use crate::wqe::{WqeOp, MAX_WQES};
+use crate::wqe::{Outcome, RingMode, WorkQueue, MAX_WQES};
 
 /// Maximum verbs per doorbell batch (same bound as [`MAX_WQES`]).
 pub const MAX_BATCH: usize = MAX_WQES;
 
-/// An in-flight doorbell batch of independent verbs (see the module docs).
+/// A doorbell batch of independent verbs (see the module docs).
 ///
 /// Obtained from [`DmClient::batch`]; dropped without executing, it issues
 /// nothing.
-pub struct BatchBuilder<'client, 'buf> {
-    client: &'client DmClient,
-    ops: [Option<WqeOp<'buf>>; MAX_BATCH],
-    len: usize,
-}
+pub struct BatchBuilder<'client, 'buf>(WorkQueue<'client, 'buf>);
 
 impl<'client, 'buf> BatchBuilder<'client, 'buf> {
     pub(crate) fn new(client: &'client DmClient) -> Self {
-        BatchBuilder {
-            client,
-            ops: [const { None }; MAX_BATCH],
-            len: 0,
-        }
+        BatchBuilder(WorkQueue::new(client, RingMode::WaitAll))
     }
 
-    fn push(&mut self, op: WqeOp<'buf>) -> DmResult<()> {
-        if self.len >= MAX_BATCH {
+    /// The queue, or [`DmError::BatchFull`] when it already holds
+    /// [`MAX_BATCH`] verbs.
+    fn room(&mut self) -> DmResult<&mut WorkQueue<'client, 'buf>> {
+        if self.0.len() >= MAX_BATCH {
             return Err(DmError::BatchFull { max: MAX_BATCH });
         }
-        self.ops[self.len] = Some(op);
-        self.len += 1;
-        Ok(())
+        Ok(&mut self.0)
     }
 
     /// Number of verbs queued so far.
     pub fn len(&self) -> usize {
-        self.len
+        self.0.len()
     }
 
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.0.is_empty()
     }
 
     /// Queues a one-sided `RDMA_READ` of `buf.len()` bytes into `buf`.
@@ -91,7 +66,7 @@ impl<'client, 'buf> BatchBuilder<'client, 'buf> {
     /// Returns [`DmError::BatchFull`] when the batch already holds
     /// [`MAX_BATCH`] verbs; execute what is queued and start a new batch.
     pub fn read_into(&mut self, addr: RemoteAddr, buf: &'buf mut [u8]) -> DmResult<&mut Self> {
-        self.push(WqeOp::Read { addr, buf })?;
+        self.room()?.post_read(addr, buf, true);
         Ok(self)
     }
 
@@ -101,190 +76,71 @@ impl<'client, 'buf> BatchBuilder<'client, 'buf> {
     ///
     /// Returns [`DmError::BatchFull`] when the batch is full.
     pub fn write(&mut self, addr: RemoteAddr, data: &'buf [u8]) -> DmResult<&mut Self> {
-        self.push(WqeOp::Write { addr, data })?;
+        self.room()?.post_write(addr, data, true);
         Ok(self)
     }
 
     /// Queues an `RDMA_FAA` of `delta` (the old value is discarded; use
-    /// [`DmClient::faa`] when the result matters, since a fetched result
-    /// would have to be awaited and could not overlap the batch anyway).
+    /// [`DmClient::faa`] when the result matters).
     ///
     /// # Errors
     ///
     /// Returns [`DmError::BatchFull`] when the batch is full.
     pub fn faa(&mut self, addr: RemoteAddr, delta: u64) -> DmResult<&mut Self> {
-        self.push(WqeOp::Faa { addr, delta })?;
+        self.room()?.post_faa(addr, delta, true);
         Ok(self)
-    }
-
-    /// The distinct memory nodes this batch touches, in first-appearance
-    /// order (allocation-free; one pass over the queued verbs).
-    fn distinct_nodes(&self) -> ([u16; MAX_BATCH], usize) {
-        let mut nodes = [0u16; MAX_BATCH];
-        let mut count = 0;
-        for op in self.ops[..self.len].iter().flatten() {
-            let mn = op.mn_id();
-            if !nodes[..count].contains(&mn) {
-                nodes[count] = mn;
-                count += 1;
-            }
-        }
-        (nodes, count)
     }
 
     /// Number of distinct memory nodes this batch fans out to (one doorbell
     /// is charged per distinct node).
     pub fn fanout(&self) -> usize {
-        self.distinct_nodes().1
+        self.0.nodes().1
     }
 
-    fn batched_latency_with_fanout(&self, fanout: usize) -> u64 {
-        let cfg = self.client.config();
-        let max_transfer = self.transfer_latencies_max();
-        cfg.fanout_batch_latency_ns(self.len, fanout, max_transfer)
+    fn transfers(&self) -> impl Iterator<Item = u64> + '_ {
+        let cfg = self.0.client().config();
+        self.0.ops().map(|op| op.transfer_ns(cfg))
     }
 
     /// Latency this batch will charge when executed as one doorbell batch.
     pub fn batched_latency_ns(&self) -> u64 {
-        self.batched_latency_with_fanout(self.fanout())
+        let max_transfer = self.transfers().max().unwrap_or(0);
+        self.0
+            .client()
+            .config()
+            .fanout_batch_latency_ns(self.len(), self.fanout(), max_transfer)
     }
 
     /// Latency this batch will charge when executed verb-by-verb.
     pub fn sequential_latency_ns(&self) -> u64 {
-        self.transfer_latencies_sum()
+        self.transfers().sum()
     }
 
-    fn transfer_latencies_max(&self) -> u64 {
-        let cfg = self.client.config();
-        self.ops[..self.len]
-            .iter()
-            .flatten()
-            .map(|op| op.transfer_ns(cfg))
-            .max()
-            .unwrap_or(0)
+    /// Rings the batch in `mode`; returns the latency charged, or the
+    /// **first** fault in posting order after the whole batch has been
+    /// charged and the healthy members have executed (independent verbs,
+    /// independent fates).
+    fn run(mut self, mode: RingMode) -> DmResult<u64> {
+        self.0.set_mode(mode);
+        let mut rung = [Outcome::default(); MAX_WQES];
+        let charged = self.0.ring_into(&mut rung);
+        rung.iter().try_for_each(|o| o.status.check())?;
+        Ok(charged)
     }
 
-    fn transfer_latencies_sum(&self) -> u64 {
-        let cfg = self.client.config();
-        self.ops[..self.len]
-            .iter()
-            .flatten()
-            .map(|op| op.transfer_ns(cfg))
-            .sum()
-    }
-
-    /// Executes the batch as one doorbell batch, surfacing injected faults:
-    /// charges `fanout × doorbell + n × issue + max(transfer)` to the client
-    /// clock (a timed-out member additionally stretches the batch by the
-    /// retransmission window — the synchronous poster spins until the NIC
-    /// gives up on it), one RNIC message per verb to the target nodes, and
-    /// records the batch size and per-node doorbells.
-    ///
-    /// Faulted members do not execute; the remaining members still do
-    /// (independent verbs, independent fates — as with per-WQE error CQEs).
-    /// Returns the latency charged, or the **first** fault in posting order
-    /// after the whole batch has been charged and the healthy members have
-    /// executed.
+    /// Executes the batch as one doorbell batch, surfacing injected faults
+    /// ([`RingMode::WaitAll`]): a timed-out member additionally stretches
+    /// the batch by the retransmission window, and faulted members do not
+    /// execute while the remaining members still do.
     pub fn try_execute(self) -> DmResult<u64> {
-        if self.len == 0 {
-            return Ok(0);
-        }
-        let (nodes, fanout) = self.distinct_nodes();
-        let client = self.client;
-        let cfg = client.config();
-        let stats = client.pool().stats();
-        let injector = client.pool().fault_injector();
-        stats.record_batch(self.len, fanout);
-        for &mn in &nodes[..fanout] {
-            stats.record_node_doorbell(mn);
-        }
-        let n = self.len;
-        let mut signalled = n;
-        let mut max_transfer = 0;
-        let mut timeout_stretch = 0;
-        let mut first_err = None;
-        for op in self.ops.into_iter().flatten() {
-            let mn = op.mn_id();
-            stats.record_verb(mn, op.kind(), op.payload_len());
-            // Only the last WQE of a synchronous batch carries a signal.
-            signalled -= 1;
-            stats.record_wqe(signalled == 0);
-            let (factor_pct, err) = client.inject(mn);
-            max_transfer = max_transfer.max(op.transfer_ns(cfg) * factor_pct / 100);
-            match err {
-                None => op.perform(client),
-                Some(e) => {
-                    if matches!(e, DmError::VerbTimeout { .. }) {
-                        stats.record_verb_timeout(mn);
-                        timeout_stretch = injector.timeout_ns();
-                    } else {
-                        stats.record_verb_failure(mn);
-                    }
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        let latency = cfg.fanout_batch_latency_ns(n, fanout, max_transfer) + timeout_stretch;
-        client.advance_ns(latency);
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(latency),
-        }
+        self.run(RingMode::WaitAll)
     }
 
-    /// Executes the same verbs one signalled round trip at a time, charging
-    /// the sum of the individual latencies (no doorbell accounting) and
-    /// surfacing injected faults.  Every member is issued — a faulted verb
-    /// does not stop the ones after it — and the first fault in issue order
-    /// is returned at the end.
+    /// Executes the same verbs one signalled round trip at a time
+    /// ([`RingMode::Sequential`]), surfacing injected faults: every member
+    /// is issued, and the first fault in issue order is returned at the end.
     pub fn try_execute_sequential(self) -> DmResult<u64> {
-        if self.len == 0 {
-            return Ok(0);
-        }
-        let client = self.client;
-        let cfg = client.config();
-        let stats = client.pool().stats();
-        let injector = client.pool().fault_injector();
-        let mut latency = 0;
-        let mut first_err = None;
-        for op in self.ops.into_iter().flatten() {
-            let mn = op.mn_id();
-            stats.record_verb(mn, op.kind(), op.payload_len());
-            stats.record_wqe(true);
-            let (factor_pct, err) = client.inject(mn);
-            latency += op.transfer_ns(cfg) * factor_pct / 100;
-            match err {
-                None => op.perform(client),
-                Some(e) => {
-                    if matches!(e, DmError::VerbTimeout { .. }) {
-                        stats.record_verb_timeout(mn);
-                        latency += injector.timeout_ns();
-                    } else {
-                        stats.record_verb_failure(mn);
-                    }
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        client.advance_ns(latency);
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(latency),
-        }
-    }
-
-    /// Fault-surfacing [`BatchBuilder::execute_mode`]: batched or
-    /// sequential depending on `batched`.
-    pub fn try_execute_mode(self, batched: bool) -> DmResult<u64> {
-        if batched {
-            self.try_execute()
-        } else {
-            self.try_execute_sequential()
-        }
+        self.run(RingMode::Sequential)
     }
 
     /// Executes the batch as one doorbell batch (see
@@ -308,21 +164,6 @@ impl<'client, 'buf> BatchBuilder<'client, 'buf> {
     pub fn execute_sequential(self) -> u64 {
         self.try_execute_sequential()
             .unwrap_or_else(|e| panic!("sequential batch failed: {e}"))
-    }
-
-    /// Executes batched or sequentially depending on `batched` — the hook
-    /// for configuration toggles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fault is injected into any member (see
-    /// [`BatchBuilder::try_execute_mode`]).
-    pub fn execute_mode(self, batched: bool) -> u64 {
-        if batched {
-            self.execute()
-        } else {
-            self.execute_sequential()
-        }
     }
 }
 
@@ -450,19 +291,6 @@ mod tests {
         let snap = &pool.stats().node_snapshots()[0];
         assert_eq!(snap.writes, 2); // setup write + batched write
         assert_eq!(snap.faa, 1);
-    }
-
-    #[test]
-    fn read_batch_convenience_reads_all_buffers() {
-        let pool = pool();
-        let client = pool.connect();
-        let a = pool.reserve(256).unwrap();
-        client.write(a, &[1u8; 128]);
-        let (mut x, mut y) = ([0u8; 64], [0u8; 64]);
-        client.read_batch([(a, &mut x[..]), (a.add(64), &mut y[..])]);
-        assert_eq!(x, [1u8; 64]);
-        assert_eq!(y, [1u8; 64]);
-        assert_eq!(pool.stats().doorbells(), 1);
     }
 
     #[test]

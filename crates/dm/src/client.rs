@@ -11,7 +11,7 @@ use crate::memnode::MemoryNode;
 use crate::obs::{EventKind, FlightRecorder, Phase, Span};
 use crate::pool::MemoryPool;
 use crate::stats::VerbKind;
-use crate::wqe::WorkQueue;
+use crate::wqe::{RingMode, WorkQueue};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
@@ -368,24 +368,29 @@ impl DmClient {
         self.pool.resize_epoch()
     }
 
-    /// Starts a doorbell batch of independent verbs (see [`BatchBuilder`]).
-    ///
-    /// The batch completes in `doorbell_latency_ns + n × verb_issue_ns +
-    /// max(per-verb transfer latency)` instead of the sum of the individual
-    /// round trips; every verb still consumes one RNIC message.  This is the
-    /// *synchronous* convenience over the posted-work model below: post all,
-    /// ring once, wait for everything.
+    /// Starts a synchronous doorbell batch of independent verbs (see
+    /// [`BatchBuilder`]): a [`RingMode::WaitAll`] or
+    /// [`RingMode::Sequential`] work queue that reports a typed
+    /// [`DmError::BatchFull`] instead of auto-ringing.
     pub fn batch<'buf>(&self) -> BatchBuilder<'_, 'buf> {
         BatchBuilder::new(self)
     }
 
-    /// Starts a posted work queue (see [`WorkQueue`]): WQEs are posted
-    /// signalled or unsignalled, one doorbell ring per distinct node starts
-    /// them, and signalled completions are later consumed with
-    /// [`DmClient::poll_cq`] — charging latency as *time since post*, so CPU
-    /// work between ring and poll overlaps the in-flight transfers.
+    /// Starts a posted work queue in the pipelined ring mode (see
+    /// [`WorkQueue`]): WQEs are posted signalled or unsignalled, one
+    /// doorbell ring per distinct node starts them, and signalled
+    /// completions are later consumed with [`DmClient::poll_cq`] — charging
+    /// latency as *time since post*, so CPU work between ring and poll
+    /// overlaps the in-flight transfers.
+    #[inline]
     pub fn work_queue<'buf>(&self) -> WorkQueue<'_, 'buf> {
-        WorkQueue::new(self)
+        self.work_queue_in(RingMode::Pipelined)
+    }
+
+    /// Starts a posted work queue that rings in `mode` (see [`RingMode`]).
+    #[inline]
+    pub fn work_queue_in<'buf>(&self, mode: RingMode) -> WorkQueue<'_, 'buf> {
+        WorkQueue::new(self, mode)
     }
 
     /// Allocates a work-request id for a posted WQE.
@@ -395,7 +400,7 @@ impl DmClient {
         id
     }
 
-    /// Queues a signalled WQE's completion (called by [`WorkQueue::ring`]).
+    /// Queues a WQE's completion (called by [`WorkQueue::ring`]).
     pub(crate) fn push_completion(&self, completion: Completion) {
         self.cq.borrow_mut().push(completion);
     }
@@ -452,31 +457,6 @@ impl DmClient {
             Some(e) => Err(e),
             None => Ok(drained),
         }
-    }
-
-    /// Issues several independent `RDMA_READ`s as one doorbell batch, each
-    /// into its own caller-provided buffer.
-    ///
-    /// Returns the latency charged.  More reads than
-    /// [`crate::batch::MAX_BATCH`] are flushed as additional doorbell
-    /// batches rather than failing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an address range is invalid.
-    pub fn read_batch<'buf, I>(&self, reads: I) -> u64
-    where
-        I: IntoIterator<Item = (RemoteAddr, &'buf mut [u8])>,
-    {
-        let mut charged = 0;
-        let mut batch = self.batch();
-        for (addr, buf) in reads {
-            if batch.len() == crate::batch::MAX_BATCH {
-                charged += std::mem::replace(&mut batch, self.batch()).execute();
-            }
-            batch.read_into(addr, buf).expect("batch has room");
-        }
-        charged + batch.execute()
     }
 
     /// Fallible one-sided `RDMA_READ` of `len` bytes at `addr`.

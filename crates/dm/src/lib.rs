@@ -34,14 +34,18 @@
 //!   decommission it.
 //! * [`DmClient`] is a per-thread connection handle exposing the verb API,
 //!   a per-client simulated clock and a per-client [`cq::CompletionQueue`].
-//! * [`wqe::WorkQueue`] is the posted-work data path: clients post
-//!   work-queue entries (signalled or *unsignalled*), ring one doorbell per
-//!   distinct memory node, overlap CPU work with the in-flight transfers
-//!   and then [`DmClient::poll_cq`] the completions — latency is charged as
-//!   *time since post* (see the latency model below).
-//! * [`batch::BatchBuilder`] is the synchronous post-all/wait-all wrapper
-//!   over the same model: one doorbell batch, charged in a single step —
-//!   the ablation baseline the pipelined hot paths are measured against.
+//! * [`wqe::WorkQueue`] is the one data path, with three ring modes
+//!   ([`RingMode`]): clients post work-queue entries (signalled or
+//!   *unsignalled*), ring them, and learn each WQE's own status from the
+//!   returned [`Round`].  [`RingMode::Pipelined`] rings one doorbell per
+//!   distinct memory node and charges each completion when it is polled,
+//!   as *time since post*, so CPU work overlaps the in-flight transfers
+//!   (see the latency model below); [`RingMode::WaitAll`] charges the
+//!   synchronous doorbell batch in a single step; [`RingMode::Sequential`]
+//!   charges one round trip per verb — the ablations the pipelined hot
+//!   paths are measured against.
+//! * [`batch::BatchBuilder`] is a thin wrapper that builds a wait-all or
+//!   sequential work queue and reports a typed error when it is full.
 //! * [`alloc::ClientAllocator`] implements the two-level memory management
 //!   scheme (segment `ALLOC`/`FREE` RPCs plus client-local block recycling)
 //!   used by FUSEE and adopted by Ditto; [`alloc::StripedAllocator`] runs
@@ -69,7 +73,7 @@
 //! produce no completion and are never waited for.  Draining every
 //! completion immediately reproduces the synchronous doorbell-batch charge
 //! `fanout × doorbell + n × issue + max(transfer)`, which is exactly what
-//! [`BatchBuilder::execute`] does in one step; CPU work done between ring
+//! [`RingMode::WaitAll`] charges in one step; CPU work done between ring
 //! and poll is subtracted from the wait, which is what the pipelined cache
 //! hot paths exploit.  Either way every verb still consumes one message of
 //! the target node's RNIC budget — posting and batching buy *latency*, not
@@ -140,7 +144,7 @@
 //!   identically for a given client set) fail a verb with
 //!   [`DmError::VerbFailed`] or charge a timeout and fail it with
 //!   [`DmError::VerbTimeout`].  Completions carry a [`CompletionStatus`];
-//!   `poll_cq`/`drain_cq`/[`BatchBuilder`] surface errors instead of
+//!   `poll_cq`/`drain_cq`/[`Round::wait`] surface errors instead of
 //!   assuming success.
 //! * **Node fail-stop** — after a configured simulated instant every verb
 //!   to that node errors with [`DmError::VerbFailed`] (the
@@ -295,7 +299,7 @@ pub use pool::MemoryPool;
 pub use rpc::{RpcHandler, RpcOutcome};
 pub use stats::{ContentionSnapshot, FaultSnapshot, ObsSnapshot, PoolStats, RunReport};
 pub use topology::{PlacementMode, PoolTopology};
-pub use wqe::WorkQueue;
+pub use wqe::{RingMode, Round, WorkQueue};
 
 // Compile-time pins of the threading contract documented above: the shared
 // structures are `Send + Sync`, the per-thread connection handle is `Send`

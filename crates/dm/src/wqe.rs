@@ -1,4 +1,5 @@
-//! Posted work-queue entries (WQEs): the RNIC send-queue model.
+//! Posted work-queue entries (WQEs): the RNIC send-queue model, and the one
+//! data path every client round runs on.
 //!
 //! Real RDMA clients do not "execute a batch and wait": they **post**
 //! work-queue entries to a send queue, ring the doorbell once, and get on
@@ -11,22 +12,39 @@
 //!
 //! [`WorkQueue`] is the simulator's send queue.  [`WorkQueue::post_read`] /
 //! [`post_write`](WorkQueue::post_write) / [`post_faa`](WorkQueue::post_faa)
-//! queue up to [`MAX_WQES`] verbs without heap allocation (the queue is an
-//! inline array); [`WorkQueue::ring`] rings one doorbell per distinct target
-//! memory node and hands the WQEs to the simulated NIC:
+//! / [`post_cas`](WorkQueue::post_cas) queue up to [`MAX_WQES`] verbs
+//! without heap allocation (the queue is an inline array), and
+//! [`WorkQueue::ring`] hands them to the simulated NIC.  There is **one
+//! path and three ring modes**; the mode decides only how the round is
+//! charged and how its outcomes are learned:
 //!
-//! * the **posting cost** `fanout × doorbell_latency_ns + n × verb_issue_ns`
-//!   is charged to the client clock immediately (it is synchronous CPU/MMIO
-//!   work);
-//! * every WQE is assigned a **completion time**: the ring-end clock plus
-//!   the per-node *prefix maximum* of transfer latencies — WQEs on one node
-//!   travel over one queue pair and complete **in order**, so a small verb
-//!   posted after a large one completes no earlier than the large one;
-//! * the verbs execute against the arena right away (simulation state), and
-//!   a completion entry is pushed for every *signalled* WQE; the latency is
-//!   only charged when the client later **polls** it, as *time since post* —
-//!   CPU work done between `ring` and `poll_cq` genuinely overlaps the
-//!   in-flight transfers.
+//! * [`RingMode::Pipelined`] (the default) charges the **posting cost**
+//!   `fanout × doorbell_latency_ns + n × verb_issue_ns` immediately (one
+//!   doorbell per distinct target node) and assigns every WQE a
+//!   **completion time**: the ring-end clock plus the per-node *prefix
+//!   maximum* of transfer latencies — WQEs on one node travel over one
+//!   queue pair and complete **in order**, so a small verb posted after a
+//!   large one completes no earlier than the large one.  A completion entry
+//!   is pushed for every *signalled* WQE; its latency is only charged when
+//!   the client later **polls** it, as *time since post* — CPU work done
+//!   between `ring` and `poll_cq` genuinely overlaps the in-flight
+//!   transfers.
+//! * [`RingMode::WaitAll`] is the synchronous doorbell batch: one charge of
+//!   `fanout × doorbell + n × issue + max(transfer)` (stretched by the
+//!   retransmission window when a member timed out), only the last WQE
+//!   signalled, and nothing left to poll.
+//! * [`RingMode::Sequential`] issues the WQEs as one signalled round trip
+//!   each and charges the sum, with no doorbell accounting — the ablation
+//!   that quantifies what doorbell batching buys.
+//!
+//! In every mode the verbs execute against the arena at ring time
+//! (simulation state), the fault injector is consulted per WQE, and each
+//! WQE's own status is recorded.  [`WorkQueue::submit`] rings and returns
+//! the [`Round`], whose [`Round::wait`] returns one WQE's status — polling
+//! the completion queue in the pipelined mode, for free in the synchronous
+//! ones — and whose iterator yields the WQEs in arrival order.  A round of
+//! one WQE is submitted as the plain verb, so a one-verb round costs
+//! exactly what the matching [`DmClient`] verb costs.
 //!
 //! Posting to a full queue automatically rings the doorbell for the queued
 //! prefix and keeps going, so an oversized posting burst degrades to an
@@ -34,13 +52,14 @@
 //! the same way).
 //!
 //! Every WQE — signalled or not — still consumes one RNIC message on its
-//! target node: pipelining saves *latency*, never message rate.
+//! target node: pipelining and batching save *latency*, never message rate.
 
 use crate::addr::RemoteAddr;
 use crate::client::DmClient;
 use crate::config::DmConfig;
 use crate::cq::{Completion, CompletionStatus};
-use crate::error::DmError;
+use crate::error::{DmError, DmResult};
+use crate::obs::Phase;
 use crate::stats::VerbKind;
 
 /// Maximum WQEs per posting round (and per doorbell batch).
@@ -50,6 +69,19 @@ use crate::stats::VerbKind;
 /// deeper, but a fixed bound keeps the queue allocation-free.  Posting past
 /// the bound auto-rings the doorbell instead of failing.
 pub const MAX_WQES: usize = 40;
+
+/// How [`WorkQueue::ring`] charges a round and how its outcomes are learned
+/// (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RingMode {
+    /// Posting cost now, per-node in-order completions charged when polled.
+    #[default]
+    Pipelined,
+    /// One synchronous doorbell batch: post all, wait for all.
+    WaitAll,
+    /// One signalled round trip per WQE, charged the sum.
+    Sequential,
+}
 
 /// The one-sided operation a WQE carries.
 pub(crate) enum WqeOp<'buf> {
@@ -113,39 +145,47 @@ impl WqeOp<'_> {
         cfg.transfer_latency_ns(base, self.payload_len())
     }
 
-    /// Executes the operation against the target node's arena.
-    pub(crate) fn perform(self, client: &DmClient) {
-        match self {
-            WqeOp::Read { addr, buf } => {
-                client
-                    .node_ref(addr.mn_id)
-                    .read_into(addr.offset, buf)
-                    .unwrap_or_else(|e| panic!("posted RDMA_READ failed: {e}"));
+    /// Issues the verb: consults the fault injector, books the verb (and
+    /// its fault) in the pool statistics and executes it against the target
+    /// node's arena unless it faulted — a faulted verb still consumes its
+    /// message and its transfer time.  Returns its status, its transfer
+    /// latency and, for a timed-out verb, the retransmission window it
+    /// waited.
+    pub(crate) fn fire(self, client: &DmClient) -> (CompletionStatus, u64, u64) {
+        let stats = client.pool().stats();
+        let mn = self.mn_id();
+        let (factor_pct, err) = client.inject(mn);
+        let transfer = self.transfer_ns(client.config()) * factor_pct / 100;
+        let (status, timeout) = match err {
+            None => (CompletionStatus::Success, 0),
+            Some(DmError::VerbTimeout { .. }) => {
+                stats.record_verb_timeout(mn);
+                let timeout = client.pool().fault_injector().timeout_ns();
+                (CompletionStatus::TimedOut { mn_id: mn }, timeout)
             }
-            WqeOp::Write { addr, data } => {
-                client
-                    .node_ref(addr.mn_id)
-                    .write(addr.offset, data)
-                    .unwrap_or_else(|e| panic!("posted RDMA_WRITE failed: {e}"));
+            Some(_) => {
+                stats.record_verb_failure(mn);
+                (CompletionStatus::Failed { mn_id: mn }, 0)
             }
-            WqeOp::Faa { addr, delta } => {
-                client
-                    .node_ref(addr.mn_id)
-                    .faa(addr.offset, delta)
-                    .unwrap_or_else(|e| panic!("posted RDMA_FAA failed: {e}"));
-            }
+        };
+        stats.record_verb(mn, self.kind(), self.payload_len());
+        if !status.is_ok() {
+            return (status, transfer, timeout);
+        }
+        let node = client.node_ref(mn);
+        let done = match self {
+            WqeOp::Read { addr, buf } => node.read_into(addr.offset, buf),
+            WqeOp::Write { addr, data } => node.write(addr.offset, data),
+            WqeOp::Faa { addr, delta } => node.faa(addr.offset, delta).map(drop),
             WqeOp::Cas {
                 addr,
                 expected,
                 new,
                 out,
-            } => {
-                *out = client
-                    .node_ref(addr.mn_id)
-                    .cas(addr.offset, expected, new)
-                    .unwrap_or_else(|e| panic!("posted RDMA_CAS failed: {e}"));
-            }
-        }
+            } => node.cas(addr.offset, expected, new).map(|old| *out = old),
+        };
+        done.unwrap_or_else(|e| panic!("posted verb failed: {e}"));
+        (status, transfer, timeout)
     }
 }
 
@@ -155,21 +195,34 @@ struct Wqe<'buf> {
     wr_id: u64,
 }
 
+/// What one rung WQE did: its status, and whether a completion for it is
+/// still queued on the client's CQ (pipelined mode only).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Outcome {
+    wr_id: u64,
+    pub(crate) status: CompletionStatus,
+    pending: bool,
+}
+
 /// A send queue of posted-but-not-yet-rung WQEs (see the module docs).
 ///
-/// Obtained from [`DmClient::work_queue`]; dropped without ringing, the
-/// queued WQEs issue nothing.
+/// Obtained from [`DmClient::work_queue`] (pipelined) or
+/// [`DmClient::work_queue_in`]; dropped without ringing, the queued WQEs
+/// issue nothing.
 pub struct WorkQueue<'client, 'buf> {
     client: &'client DmClient,
+    mode: RingMode,
     wqes: [Option<Wqe<'buf>>; MAX_WQES],
     len: usize,
 }
 
 impl<'client, 'buf> WorkQueue<'client, 'buf> {
-    pub(crate) fn new(client: &'client DmClient) -> Self {
+    #[inline]
+    pub(crate) fn new(client: &'client DmClient, mode: RingMode) -> Self {
         WorkQueue {
             client,
-            wqes: [const { None }; MAX_WQES],
+            mode,
+            wqes: std::array::from_fn(|_| None),
             len: 0,
         }
     }
@@ -182,6 +235,34 @@ impl<'client, 'buf> WorkQueue<'client, 'buf> {
     /// Whether no WQE is pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    pub(crate) fn set_mode(&mut self, mode: RingMode) {
+        self.mode = mode;
+    }
+
+    pub(crate) fn client(&self) -> &'client DmClient {
+        self.client
+    }
+
+    /// The queued operations, in posting order.
+    pub(crate) fn ops(&self) -> impl Iterator<Item = &WqeOp<'buf>> {
+        self.wqes[..self.len].iter().flatten().map(|wqe| &wqe.op)
+    }
+
+    /// The distinct memory nodes the queued WQEs target, in
+    /// first-appearance order (allocation-free).
+    pub(crate) fn nodes(&self) -> ([u16; MAX_WQES], usize) {
+        let mut nodes = [0u16; MAX_WQES];
+        let mut fanout = 0;
+        for op in self.ops() {
+            let mn = op.mn_id();
+            if !nodes[..fanout].contains(&mn) {
+                nodes[fanout] = mn;
+                fanout += 1;
+            }
+        }
+        (nodes, fanout)
     }
 
     fn post(&mut self, op: WqeOp<'buf>, signalled: bool) -> u64 {
@@ -241,100 +322,131 @@ impl<'client, 'buf> WorkQueue<'client, 'buf> {
         )
     }
 
-    /// Rings the doorbell: charges the posting cost `fanout ×
-    /// doorbell_latency_ns + n × verb_issue_ns` to the client clock, assigns
-    /// every WQE its completion time (per-node in-order; see the module
-    /// docs), executes the verbs, pushes a completion for each *signalled*
-    /// WQE onto the client's completion queue and clears the send queue.
+    /// Rings the doorbell in this queue's [`RingMode`]: executes the verbs,
+    /// consulting the fault injector per WQE, and clears the send queue.
+    /// The WQEs' statuses surface only through the completion queue; use
+    /// [`WorkQueue::submit`] to learn each one in every mode.
     ///
-    /// Returns the posting cost charged (0 for an empty queue).  The
-    /// transfer latencies are **not** charged here — they are charged by
-    /// [`DmClient::poll_cq`] as time since post.
+    /// Returns the latency charged to the client clock by the ring itself
+    /// (0 for an empty queue).  In the pipelined mode that is only the
+    /// posting cost `fanout × doorbell_latency_ns + n × verb_issue_ns`; the
+    /// transfer latencies are charged by [`DmClient::poll_cq`] as time since
+    /// post.
     pub fn ring(&mut self) -> u64 {
+        self.ring_into(&mut [Outcome::default(); MAX_WQES])
+    }
+
+    /// Rings the WQEs posted since the last ring and returns the [`Round`]
+    /// of their outcomes.  A lone WQE is issued as the plain verb — no
+    /// doorbell, no WQE, no poll — so a one-verb round costs exactly what
+    /// the matching [`DmClient`] verb costs, in every mode.  The round does
+    /// not borrow the queue; the posted buffers are readable once the
+    /// queue is dropped.
+    pub fn submit(&mut self) -> Round<'client> {
+        let mut round = Round {
+            client: self.client,
+            rung: [Outcome::default(); MAX_WQES],
+            len: self.len,
+            yielded: 0,
+        };
+        if self.len == 1 {
+            self.len = 0;
+            let wqe = self.wqes[0].take().expect("one WQE is posted");
+            let (status, transfer, timeout) = wqe.op.fire(self.client);
+            self.client.advance_ns(transfer + timeout);
+            round.rung[0] = Outcome {
+                wr_id: wqe.wr_id,
+                status,
+                pending: false,
+            };
+        } else {
+            self.ring_into(&mut round.rung);
+        }
+        round
+    }
+
+    /// Rings the queue in its mode, recording every WQE's outcome into
+    /// `rung` in posting order; returns the latency charged by the ring.
+    pub(crate) fn ring_into(&mut self, rung: &mut [Outcome; MAX_WQES]) -> u64 {
         if self.len == 0 {
             return 0;
         }
         let client = self.client;
-        let cfg = client.config();
-        // Distinct target nodes, in first-appearance order (allocation-free).
-        let mut nodes = [0u16; MAX_WQES];
-        let mut fanout = 0;
-        for wqe in self.wqes[..self.len].iter().flatten() {
-            let mn = wqe.op.mn_id();
-            if !nodes[..fanout].contains(&mn) {
-                nodes[fanout] = mn;
-                fanout += 1;
+        let stats = client.pool().stats();
+        let (nodes, fanout) = self.nodes();
+        let n = self.len;
+        self.len = 0;
+        let post_cost = client.config().fanout_batch_latency_ns(n, fanout, 0);
+        if self.mode != RingMode::Sequential {
+            stats.record_batch(n, fanout);
+            for &mn in &nodes[..fanout] {
+                stats.record_node_doorbell(mn);
             }
         }
-        let ring_start = client.now_ns();
-        let post_cost =
-            fanout as u64 * cfg.doorbell_latency_ns + self.len as u64 * cfg.verb_issue_ns;
-        client.advance_ns(post_cost);
-        let ring_end = client.now_ns();
-        client.record_span(
-            crate::obs::Phase::Post,
-            ring_start,
-            ring_end,
-            self.len as u32,
-        );
-        let stats = client.pool().stats();
-        stats.record_batch(self.len, fanout);
-        for &mn in &nodes[..fanout] {
-            stats.record_node_doorbell(mn);
-        }
-        // Per-node prefix maximum of transfer latencies: one queue pair per
-        // node, completions in posting order.  The fault injector is
-        // consulted per WQE: a faulted verb still consumes its message and
-        // holds its place in the queue-pair ordering (a timed-out verb's
-        // retransmission window delays everything behind it on the same
-        // node), but its operation never executes, and its error completion
-        // is pushed even when the WQE was posted *unsignalled* — real NICs
-        // always surface error CQEs.
-        let injector = client.pool().fault_injector();
+        let ring_end = if self.mode == RingMode::Pipelined {
+            let ring_start = client.now_ns();
+            client.advance_ns(post_cost);
+            client.record_span(Phase::Post, ring_start, client.now_ns(), n as u32);
+            client.now_ns()
+        } else {
+            0
+        };
+        // In the pipelined mode a faulted verb holds its place in its
+        // node's queue-pair ordering (a timed-out verb's retransmission
+        // window delays everything behind it on the same node), and its
+        // error completion is pushed even when the WQE was posted
+        // *unsignalled* — real NICs always surface error CQEs.
         let mut node_floor = [0u64; MAX_WQES];
-        for wqe in self.wqes[..self.len].iter_mut().map(Option::take) {
+        let (mut max_transfer, mut stretch, mut sequential) = (0, 0, 0);
+        for (i, wqe) in self.wqes[..n].iter_mut().map(Option::take).enumerate() {
             let Some(wqe) = wqe else { continue };
             let mn = wqe.op.mn_id();
-            let slot = nodes[..fanout].iter().position(|&n| n == mn).unwrap_or(0);
-            let (factor_pct, err) = client.inject(mn);
-            let mut transfer = wqe.op.transfer_ns(cfg) * factor_pct / 100;
-            let status = match &err {
-                None => CompletionStatus::Success,
-                Some(DmError::VerbTimeout { .. }) => {
-                    transfer += injector.timeout_ns();
-                    stats.record_verb_timeout(mn);
-                    CompletionStatus::TimedOut { mn_id: mn }
+            let (status, transfer, timeout) = wqe.op.fire(client);
+            let mut pending = false;
+            match self.mode {
+                RingMode::Pipelined => {
+                    stats.record_wqe(wqe.signalled);
+                    let slot = nodes[..fanout].iter().position(|&m| m == mn).unwrap_or(0);
+                    node_floor[slot] = node_floor[slot].max(transfer + timeout);
+                    let completed_at_ns = ring_end + node_floor[slot];
+                    // Every WQE in one ring leaves at ring-end, so a
+                    // multi-WQE ring shows its flight spans overlapping.
+                    client.record_span(Phase::Flight, ring_end, completed_at_ns, wqe.wr_id as u32);
+                    pending = wqe.signalled || !status.is_ok();
+                    if pending {
+                        client.push_completion(Completion {
+                            wr_id: wqe.wr_id,
+                            completed_at_ns,
+                            status,
+                        });
+                    }
                 }
-                Some(_) => {
-                    stats.record_verb_failure(mn);
-                    CompletionStatus::Failed { mn_id: mn }
+                // Only the last WQE of a synchronous batch carries a signal;
+                // the poster spins on it until the NIC gives up on any
+                // timed-out member.
+                RingMode::WaitAll => {
+                    stats.record_wqe(i + 1 == n);
+                    max_transfer = max_transfer.max(transfer);
+                    stretch = stretch.max(timeout);
                 }
+                RingMode::Sequential => {
+                    stats.record_wqe(true);
+                    sequential += transfer + timeout;
+                }
+            }
+            rung[i] = Outcome {
+                wr_id: wqe.wr_id,
+                status,
+                pending,
             };
-            node_floor[slot] = node_floor[slot].max(transfer);
-            stats.record_verb(mn, wqe.op.kind(), wqe.op.payload_len());
-            stats.record_wqe(wqe.signalled);
-            // Every WQE in one ring leaves at ring-end, so a multi-WQE ring
-            // shows its flight spans overlapping — the pipelining the trace
-            // viewer is meant to make visible.
-            client.record_span(
-                crate::obs::Phase::Flight,
-                ring_end,
-                ring_end + node_floor[slot],
-                wqe.wr_id as u32,
-            );
-            if wqe.signalled || !status.is_ok() {
-                client.push_completion(Completion {
-                    wr_id: wqe.wr_id,
-                    completed_at_ns: ring_end + node_floor[slot],
-                    status,
-                });
-            }
-            if status.is_ok() {
-                wqe.op.perform(client);
-            }
         }
-        self.len = 0;
-        post_cost
+        let charged = match self.mode {
+            RingMode::Pipelined => return post_cost,
+            RingMode::WaitAll => post_cost + max_transfer + stretch,
+            RingMode::Sequential => sequential,
+        };
+        client.advance_ns(charged);
+        charged
     }
 }
 
@@ -342,6 +454,83 @@ impl Drop for WorkQueue<'_, '_> {
     fn drop(&mut self) {
         // Dropped without ringing: like an un-rung doorbell batch, the
         // queued WQEs never reach the NIC.
+    }
+}
+
+/// The outcomes of one rung [`WorkQueue`], returned by
+/// [`WorkQueue::submit`].
+///
+/// [`Round::wait`] returns one WQE's own status; iterating yields every WQE
+/// once as `(posting index, status)` in arrival order — outcomes already
+/// known first (the synchronous modes, unsignalled successes), then the
+/// pipelined completions in the order the completion queue surfaces them.
+/// Dropping a round reaps its completions that are still in flight, so a
+/// round is always over when it goes out of scope.
+pub struct Round<'client> {
+    client: &'client DmClient,
+    rung: [Outcome; MAX_WQES],
+    len: usize,
+    /// Bit `i` is set once WQE `i` was yielded by the iterator.
+    yielded: u64,
+}
+
+impl Round<'_> {
+    /// Waits for WQE `wr_id` of this round and returns its status.  In the
+    /// pipelined mode this polls the completion queue until the WQE's
+    /// completion surfaces (completions of this round's other WQEs polled
+    /// on the way are remembered); otherwise the status was recorded at
+    /// ring time and waiting is free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wr_id` was not rung in this round.
+    pub fn wait(&mut self, wr_id: u64) -> DmResult<()> {
+        let i = self.rung[..self.len]
+            .iter()
+            .position(|o| o.wr_id == wr_id)
+            .expect("wr_id belongs to this round");
+        while self.rung[i].pending && self.reap_next().is_some() {}
+        self.rung[i].status.check()
+    }
+
+    /// Polls one completion, marking it reaped if it belongs to this
+    /// round; `None` when the completion queue is empty.
+    fn reap_next(&mut self) -> Option<()> {
+        let completion = self.client.poll_cq()?;
+        if let Some(o) = self.rung[..self.len]
+            .iter_mut()
+            .find(|o| o.wr_id == completion.wr_id)
+        {
+            o.pending = false;
+        }
+        Some(())
+    }
+}
+
+impl Iterator for Round<'_> {
+    type Item = (usize, DmResult<()>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let mut in_flight = false;
+            for i in (0..self.len).filter(|i| self.yielded & (1 << i) == 0) {
+                if !self.rung[i].pending {
+                    self.yielded |= 1 << i;
+                    return Some((i, self.rung[i].status.check()));
+                }
+                in_flight = true;
+            }
+            if !in_flight {
+                return None;
+            }
+            self.reap_next()?;
+        }
+    }
+}
+
+impl Drop for Round<'_> {
+    fn drop(&mut self) {
+        while self.rung[..self.len].iter().any(|o| o.pending) && self.reap_next().is_some() {}
     }
 }
 
@@ -564,5 +753,124 @@ mod tests {
         }
         assert_eq!(client.poll_cq(), None);
         assert_eq!(client.read_u64(addr), 0, "un-rung WQEs never execute");
+    }
+
+    #[test]
+    fn a_submitted_lone_wqe_costs_exactly_the_plain_verb() {
+        for mode in [RingMode::Pipelined, RingMode::WaitAll, RingMode::Sequential] {
+            let pool = pool();
+            let client = pool.connect();
+            let addr = pool.reserve(256).unwrap();
+            let mut buf = [0u8; 256];
+            let t0 = client.now_ns();
+            client.try_read_into(addr, &mut buf).unwrap();
+            let plain = client.now_ns() - t0;
+            pool.reset_stats();
+            let t1 = client.now_ns();
+            let mut wq = client.work_queue_in(mode);
+            let wr = wq.post_read(addr, &mut buf, true);
+            let mut round = wq.submit();
+            drop(wq);
+            assert_eq!(round.wait(wr), Ok(()));
+            assert_eq!(client.now_ns() - t1, plain, "{mode:?}");
+            let stats = pool.stats();
+            assert_eq!(stats.node_snapshots()[0].reads, 1, "{mode:?}");
+            assert_eq!(
+                (stats.doorbells(), stats.signalled_wqes(), stats.cq_polls()),
+                (0, 0, 0),
+                "{mode:?}: a plain verb rings no doorbell and posts no WQE"
+            );
+        }
+    }
+
+    #[test]
+    fn synchronous_rounds_report_each_wqe_status_for_free() {
+        use crate::fault::FaultPlan;
+        for mode in [RingMode::WaitAll, RingMode::Sequential] {
+            let plan = FaultPlan::seeded(11).with_verb_fail_ppm(500_000);
+            let pool = MemoryPool::new(DmConfig::small().with_fault_plan(plan));
+            let client = pool.connect();
+            let addr = pool.reserve(64).unwrap();
+            let mut wq = client.work_queue_in(mode);
+            let wrs: Vec<u64> = (0..8)
+                .map(|i| wq.post_faa(addr.add(i * 8), 1, false))
+                .collect();
+            let mut round = wq.submit();
+            drop(wq);
+            let t = client.now_ns();
+            let failed = wrs.iter().filter(|&&wr| round.wait(wr).is_err()).count();
+            assert_eq!(client.now_ns(), t, "{mode:?}: waiting is free");
+            assert_eq!(
+                failed as u64,
+                pool.stats().faults().verb_failures,
+                "{mode:?}"
+            );
+            assert!(failed > 0 && failed < wrs.len(), "{mode:?}: mixed fates");
+            // Only the healthy FAAs executed.
+            pool.fault_injector().set_armed(false);
+            let applied: u64 = (0..8).map(|i| client.read_u64(addr.add(i * 8))).sum();
+            assert_eq!(applied, (wrs.len() - failed) as u64, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn pipelined_waits_poll_and_remember_out_of_order_completions() {
+        let pool = MemoryPool::new(DmConfig::small().with_memory_nodes(2));
+        let client = pool.connect();
+        let a = pool.reserve_on(0, 8192).unwrap();
+        let b = pool.reserve_on(1, 64).unwrap();
+        let (mut large, mut small) = ([0u8; 8192], [0u8; 64]);
+        let mut wq = client.work_queue();
+        let wr_large = wq.post_read(a, &mut large, true);
+        let wr_small = wq.post_read(b, &mut small, true);
+        let mut round = wq.submit();
+        drop(wq);
+        // Waiting for the large READ first polls the small one on the way.
+        assert_eq!(round.wait(wr_large), Ok(()));
+        assert_eq!(pool.stats().cq_polls(), 2);
+        let t = client.now_ns();
+        assert_eq!(round.wait(wr_small), Ok(()));
+        assert_eq!(client.now_ns(), t, "an already polled WQE is free");
+        assert_eq!(pool.stats().cq_polls(), 2);
+        assert_eq!(client.poll_cq(), None);
+    }
+
+    #[test]
+    fn rounds_yield_wqes_in_arrival_order_and_reap_on_drop() {
+        let arrival = |mode| {
+            let pool = MemoryPool::new(DmConfig::small().with_memory_nodes(2));
+            let client = pool.connect();
+            let a = pool.reserve_on(0, 8192).unwrap();
+            let b = pool.reserve_on(1, 64).unwrap();
+            let (mut large, mut small) = ([0u8; 8192], [0u8; 64]);
+            let mut wq = client.work_queue_in(mode);
+            wq.post_read(a, &mut large, true);
+            wq.post_read(b, &mut small, true);
+            let round = wq.submit();
+            drop(wq);
+            round
+                .map(|(i, status)| {
+                    assert_eq!(status, Ok(()));
+                    i
+                })
+                .collect::<Vec<_>>()
+        };
+        // The small READ on the idle node overtakes the large one.
+        assert_eq!(arrival(RingMode::Pipelined), vec![1, 0]);
+        assert_eq!(arrival(RingMode::WaitAll), vec![0, 1]);
+
+        let pool = pool();
+        let client = pool.connect();
+        let addr = pool.reserve(128).unwrap();
+        let (mut x, mut y) = ([0u8; 64], [0u8; 64]);
+        let mut wq = client.work_queue();
+        wq.post_read(addr, &mut x, true);
+        wq.post_read(addr.add(64), &mut y, true);
+        drop(wq.submit());
+        assert_eq!(
+            client.poll_cq(),
+            None,
+            "a dropped round reaps its completions"
+        );
     }
 }
